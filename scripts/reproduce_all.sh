@@ -80,6 +80,18 @@ if [ "${GPUPM_SKIP_SANITIZE:-0}" != "1" ]; then
     mkdir -p build-asan/monitor_work
     build-asan/tools/gpupm_scrape monitor-selftest \
         build-asan/tools/gpupm titanx --work=build-asan/monitor_work
+    # The virtual-clock replays of the same monitor session under
+    # ASan+UBSan, with the flag sets of cli_alerts_test.cmake and
+    # cli_traces_test.cmake: session build, synchronous ticks, alert
+    # engine and trace store, single-threaded.
+    echo "== sanitize: gpupm alerts + traces replays"
+    build-asan/tools/gpupm alerts titanx --json --ticks=200 \
+        --period-ms=50 --rolling-window=16 --inject-drift=40:80:1.5 \
+        --drift-window=1s --drift-for=250ms --drift-cooldown=1s \
+        --drift-tolerance=9 > /dev/null
+    build-asan/tools/gpupm traces titanx --json --ticks=30 \
+        --period-ms=50 --rolling-window=16 \
+        --inject-drift=5:15:1.5 > /dev/null
     # Profiler smoke under ASan+UBSan: the SIGPROF handler walks raw
     # frame-pointer chains (itself exempted via no_sanitize), but
     # start/stop/collect, symbolization and the span-context push/pop

@@ -271,9 +271,11 @@ Tsdb::query(const TsQuery &q) const
     // The result is built densely before empty buckets are stripped;
     // refuse queries whose bucket count dwarfs what the store could
     // even hold, so a hostile range/step pair cannot balloon memory.
-    const std::int64_t span_buckets =
-            (q.end_us - q.start_us) / q.step_us + 1;
-    if (span_buckets > 100000) {
+    // Offsets from start_us are unsigned: end - start of an extreme
+    // pair exceeds INT64_MAX, and wrapping would pass the check.
+    const std::uint64_t origin = static_cast<std::uint64_t>(q.start_us);
+    const std::uint64_t step = static_cast<std::uint64_t>(q.step_us);
+    if ((static_cast<std::uint64_t>(q.end_us) - origin) / step >= 100000) {
         res.error = "range/step yields too many buckets";
         return res;
     }
@@ -311,21 +313,14 @@ Tsdb::query(const TsQuery &q) const
         if (t_us < q.start_us || t_us > q.end_us)
             return nullptr;
         const std::size_t idx = static_cast<std::size_t>(
-                (t_us - q.start_us) / q.step_us);
-        const std::int64_t start =
-                q.start_us +
-                static_cast<std::int64_t>(idx) * q.step_us;
+                (static_cast<std::uint64_t>(t_us) - origin) / step);
         while (res.points.size() <= idx) {
             TsBucket b;
-            b.start_us =
-                    q.start_us +
-                    static_cast<std::int64_t>(res.points.size()) *
-                            q.step_us;
+            b.start_us = static_cast<std::int64_t>(
+                    origin + res.points.size() * step);
             res.points.push_back(b);
         }
-        TsBucket &b = res.points[idx];
-        b.start_us = start;
-        return &b;
+        return &res.points[idx];
     };
 
     if (res.tier == 0) {

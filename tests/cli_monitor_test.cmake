@@ -66,3 +66,15 @@ execute_process(COMMAND ${CLI} monitor titanx --duration=banana
 if(rc EQUAL 0 OR NOT err MATCHES "--duration")
     message(FATAL_ERROR "bad duration not rejected by name: ${rc}: ${err}")
 endif()
+
+# Session flags are validated before the training campaign: a bad
+# --inject-drift exits 2 by name without a "training" line.
+execute_process(COMMAND ${CLI} monitor titanx --inject-drift=banana
+                RESULT_VARIABLE rc ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "--inject-drift")
+    message(FATAL_ERROR "bad inject spec not rejected: ${rc}: ${err}")
+endif()
+if(err MATCHES "training")
+    message(FATAL_ERROR "monitor trained before rejecting a bad "
+                        "--inject-drift: ${err}")
+endif()

@@ -224,6 +224,47 @@ TEST(TsdbTest, QueryErrorPaths)
     EXPECT_NE(res.error.find("too many buckets"), std::string::npos);
 }
 
+TEST(TsdbTest, ExtremeRangesNeitherOverflowNorHang)
+{
+    constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+    obs::Tsdb db;
+    db.append("s", kSec, 1.0);
+
+    // The widest range at a 1 us step must be refused by its bucket
+    // count, not wrapped into a small or negative one.
+    obs::TsQuery q;
+    q.series = "s";
+    q.start_us = kMin;
+    q.end_us = kMax;
+    q.step_us = 1;
+    auto res = db.query(q);
+    EXPECT_FALSE(res.ok);
+    EXPECT_NE(res.error.find("too many buckets"), std::string::npos);
+
+    // At a step of half the range it answers: three buckets, the
+    // point in the middle one, which starts at kMin + kMax = -1.
+    q.step_us = kMax;
+    res = db.query(q);
+    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_EQ(res.points.size(), 1u);
+    EXPECT_EQ(res.points[0].start_us, -1);
+    EXPECT_EQ(res.points[0].count, 1);
+
+    // Windows pressed against either end of the type answer empty.
+    q.start_us = kMax - 10;
+    q.end_us = kMax;
+    q.step_us = 1;
+    res = db.query(q);
+    EXPECT_TRUE(res.ok) << res.error;
+    EXPECT_TRUE(res.points.empty());
+    q.start_us = kMin;
+    q.end_us = kMin + 10;
+    res = db.query(q);
+    EXPECT_TRUE(res.ok) << res.error;
+    EXPECT_TRUE(res.points.empty());
+}
+
 TEST(TsdbTest, LatestTimestampTracksAppends)
 {
     obs::Tsdb db;

@@ -69,9 +69,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -110,12 +112,6 @@ namespace
 {
 
 using namespace gpupm;
-
-// Defined with the monitor helpers below; cmdFleet reuses them for
-// the fleet-serve /api/query and /api/traces endpoints.
-obs::HttpServer::Handler makeQueryHandler(const obs::Tsdb &tsdb);
-obs::HttpServer::Handler
-makeTracesHandler(const obs::TraceStore &store);
 
 /** Resilience-related flags shared by campaign/train. */
 struct CliFlags
@@ -176,44 +172,15 @@ struct CliFlags
 };
 
 /**
- * Turn the global tracer into the store-backed assembly pipeline a
- * long-lived daemon wants: deterministic ids seeded from the fault
- * seed, completed traces offered to `store`, and — unless --trace-out
- * asked for the full Chrome dump — no unbounded in-memory event list.
- * Returns whether this call enabled the tracer (it must not re-enable
- * when --trace-out already did: enable() clears the buffer and would
- * corrupt the straddling `cli.<cmd>` root span).
- */
-bool
-attachTraceStore(obs::TraceStore &store, const CliFlags &flags)
-{
-    auto &tracer = obs::Tracer::global();
-    tracer.seedIds(flags.fault_seed);
-    tracer.attachStore(&store);
-    if (flags.trace_out.empty())
-        tracer.setRetainEvents(false);
-    if (!tracer.enabled()) {
-        tracer.enable();
-        return true;
-    }
-    return false;
-}
-
-/** Undo attachTraceStore before `store` goes out of scope. */
-void
-detachTraceStore(bool disable_tracer)
-{
-    auto &tracer = obs::Tracer::global();
-    if (disable_tracer)
-        tracer.disable();
-    tracer.attachStore(nullptr);
-    tracer.setRetainEvents(true);
-}
-
-/**
  * Scoped trace-store attachment: the store plus the global-tracer
- * wiring, detached in the destructor so no early return can leave the
- * tracer pointing at a dead store.
+ * wiring a long-lived daemon wants — deterministic ids seeded from the
+ * fault seed, completed traces offered to the store, and, unless
+ * --trace-out asked for the full Chrome dump, no unbounded in-memory
+ * event list. The destructor detaches, so no early return can leave
+ * the tracer pointing at a dead store. The tracer is enabled (and
+ * later disabled) only when --trace-out did not already enable it:
+ * enable() clears the buffer and would corrupt the straddling
+ * `cli.<cmd>` root span.
  */
 struct TraceStoreAttachment
 {
@@ -223,10 +190,24 @@ struct TraceStoreAttachment
     explicit TraceStoreAttachment(
             const CliFlags &flags,
             obs::TraceStoreOptions opts = obs::TraceStoreOptions{})
-        : store(opts), enabled_here(attachTraceStore(store, flags))
+        : store(opts), enabled_here(!obs::Tracer::global().enabled())
     {
+        auto &tracer = obs::Tracer::global();
+        tracer.seedIds(flags.fault_seed);
+        tracer.attachStore(&store);
+        if (flags.trace_out.empty())
+            tracer.setRetainEvents(false);
+        if (enabled_here)
+            tracer.enable();
     }
-    ~TraceStoreAttachment() { detachTraceStore(enabled_here); }
+    ~TraceStoreAttachment()
+    {
+        auto &tracer = obs::Tracer::global();
+        if (enabled_here)
+            tracer.disable();
+        tracer.attachStore(nullptr);
+        tracer.setRetainEvents(true);
+    }
 
     TraceStoreAttachment(const TraceStoreAttachment &) = delete;
     TraceStoreAttachment &
@@ -244,24 +225,42 @@ loadOptionsOf(const CliFlags &flags)
 }
 
 /**
+ * Longest accepted duration: its whole microseconds must fit an
+ * int64_t, the unit the tsdb, the alert rules and /api/query count in.
+ */
+constexpr double kMaxDurationS = 9.2e12;
+
+/**
  * Parse a human duration: "2s", "500ms", "1m", or a bare number of
- * seconds. Negative on malformed input.
+ * seconds. Negative on malformed, non-finite or out-of-range input.
  */
 double
 parseDuration(const std::string &text)
 {
     char *end = nullptr;
     const double value = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || value < 0.0)
+    if (end == text.c_str() || !(value >= 0.0))
         return -1.0;
     const std::string unit(end);
+    double seconds = -1.0;
     if (unit.empty() || unit == "s")
-        return value;
-    if (unit == "ms")
-        return value * 1e-3;
-    if (unit == "m")
-        return value * 60.0;
-    return -1.0;
+        seconds = value;
+    else if (unit == "ms")
+        seconds = value * 1e-3;
+    else if (unit == "m")
+        seconds = value * 60.0;
+    return seconds <= kMaxDurationS ? seconds : -1.0;
+}
+
+/** parseDuration in whole microseconds; false on malformed input. */
+bool
+parseDurationUs(const std::string &text, std::int64_t &out)
+{
+    const double d = parseDuration(text);
+    if (d < 0.0)
+        return false;
+    out = static_cast<std::int64_t>(d * 1e6);
+    return true;
 }
 
 /** True when the flag consumes a value (`--key=v` or `--key v`). */
@@ -289,6 +288,23 @@ flagTakesValue(const std::string &key)
         if (key == f)
             return true;
     return false;
+}
+
+/** The CliFlags field a duration flag sets; nullptr for other keys. */
+double CliFlags::*
+durationFlag(const std::string &key)
+{
+    static const std::pair<const char *, double CliFlags::*> fields[] = {
+            {"--duration", &CliFlags::duration_s},
+            {"--deadline", &CliFlags::deadline_s},
+            {"--drift-window", &CliFlags::drift_window_s},
+            {"--drift-for", &CliFlags::drift_for_s},
+            {"--drift-cooldown", &CliFlags::drift_cooldown_s},
+    };
+    for (const auto &[name, field] : fields)
+        if (key == name)
+            return field;
+    return nullptr;
 }
 
 /**
@@ -326,7 +342,11 @@ parseFlags(int argc, char **argv, CliFlags &flags)
                 return bad("flag is missing its value", key);
             val = argv[++i];
         }
-        if (key == "--faults") {
+        if (double CliFlags::*field = durationFlag(key)) {
+            flags.*field = parseDuration(val);
+            if (flags.*field < 0.0)
+                return bad("bad duration for flag", key);
+        } else if (key == "--faults") {
             // Bare --faults means "inject at a sensible demo rate".
             flags.fault_rate =
                     val.empty() ? 0.1 : std::atof(val.c_str());
@@ -368,11 +388,6 @@ parseFlags(int argc, char **argv, CliFlags &flags)
             flags.port = std::atoi(val.c_str());
         } else if (key == "--period-ms") {
             flags.period_ms = std::atoi(val.c_str());
-        } else if (key == "--duration") {
-            const double d = parseDuration(val);
-            if (d < 0.0)
-                return bad("bad duration for flag", key);
-            flags.duration_s = d;
         } else if (key == "--events-out") {
             flags.events_out = val;
         } else if (key == "--port-file") {
@@ -387,11 +402,6 @@ parseFlags(int argc, char **argv, CliFlags &flags)
             flags.chaos_stall = std::atof(val.c_str());
         } else if (key == "--chaos-poison") {
             flags.chaos_poison = std::atof(val.c_str());
-        } else if (key == "--deadline") {
-            const double d = parseDuration(val);
-            if (d < 0.0)
-                return bad("bad duration for flag", key);
-            flags.deadline_s = d;
         } else if (key == "--fleet-out") {
             flags.fleet_out = val;
         } else if (key == "--events-max-bytes") {
@@ -408,21 +418,6 @@ parseFlags(int argc, char **argv, CliFlags &flags)
             flags.no_drift_rule = true;
         } else if (key == "--drift-tolerance") {
             flags.drift_tolerance = std::atof(val.c_str());
-        } else if (key == "--drift-window") {
-            const double d = parseDuration(val);
-            if (d < 0.0)
-                return bad("bad duration for flag", key);
-            flags.drift_window_s = d;
-        } else if (key == "--drift-for") {
-            const double d = parseDuration(val);
-            if (d < 0.0)
-                return bad("bad duration for flag", key);
-            flags.drift_for_s = d;
-        } else if (key == "--drift-cooldown") {
-            const double d = parseDuration(val);
-            if (d < 0.0)
-                return bad("bad duration for flag", key);
-            flags.drift_cooldown_s = d;
         } else if (key == "--drift-golden") {
             flags.drift_golden = val;
         } else if (key == "--rolling-window") {
@@ -1027,127 +1022,6 @@ cmdAudit(const std::string &target, const CliFlags &flags)
     return 0;
 }
 
-/**
- * `gpupm fleet <N>`: the fault-tolerant fleet campaign. N simulated
- * device instances (three architectures, per-instance ground-truth
- * jitter) are sharded across the work-stealing pool; each shard runs
- * under a watchdog deadline with seeded retry/backoff, checkpoints
- * crash-safely when --resume names a directory, and is quarantined —
- * with explicit per-device accounting — past its retry budget. Chaos
- * flags inject shard kills, stalls and poisoned devices; --faults is
- * shorthand for kills + poison at one rate. With --port/--duration
- * the merged result is served on /fleet next to /metrics for the
- * monitor's scrape interval.
- */
-int
-cmdFleet(const std::string &count, const CliFlags &flags)
-{
-    const long n = std::atol(count.c_str());
-    if (n <= 0) {
-        std::fprintf(stderr,
-                     "fleet needs a positive device count, got "
-                     "'%s'\n",
-                     count.c_str());
-        return 2;
-    }
-    obs::registerStandardMetrics();
-
-    // The campaign runs under one root trace (fleet.campaign) with
-    // every shard attempt, pool hop and watchdog fire inside it;
-    // assembled traces land here and are served on /api/traces while
-    // --duration keeps the process up. One campaign is one giant
-    // request (~350 spans per device), so the fleet store is sized
-    // for a few hundred devices where the monitor's per-tick store
-    // keeps its tight 1 MiB default.
-    obs::TraceStoreOptions tsopts;
-    tsopts.max_bytes = 32u << 20;
-    TraceStoreAttachment tracing(flags, tsopts);
-
-    fleet::FleetOptions fopts;
-    fopts.devices = n;
-    fopts.shards = flags.shards;
-    fopts.threads = flags.threads;
-    fopts.watchdog_deadline_s = flags.deadline_s;
-    fopts.checkpoint_dir = flags.checkpoint;
-    fopts.chaos.seed = flags.fault_seed;
-    fopts.chaos.shard_kill_rate = flags.chaos_kill;
-    fopts.chaos.shard_stall_rate = flags.chaos_stall;
-    fopts.chaos.poison_fraction = flags.chaos_poison;
-    if (flags.fault_rate > 0.0) {
-        if (fopts.chaos.shard_kill_rate == 0.0)
-            fopts.chaos.shard_kill_rate = flags.fault_rate;
-        if (fopts.chaos.poison_fraction == 0.0)
-            fopts.chaos.poison_fraction = flags.fault_rate;
-    }
-
-    const fleet::FleetResult result = fleet::runFleetCampaign(fopts);
-    std::fprintf(stderr, "%s", result.summary().c_str());
-
-    if (!flags.fleet_out.empty()) {
-        auto saved = model::tryWriteFileAtomic(
-                flags.fleet_out,
-                model::wrapEnvelope(model::FileKind::Fleet,
-                                    result.toJson() + "\n"));
-        if (!saved.ok())
-            return reportLoadFailure(saved.error());
-        std::fprintf(stderr, "fleet report written to %s\n",
-                     flags.fleet_out.c_str());
-    }
-    if (flags.json)
-        std::printf("%s\n", result.toJson().c_str());
-
-    if (flags.duration_s > 0.0) {
-        // Per-architecture aggregate series: fleet-level drift
-        // (outlier devices, arch marginals moving) is queryable from
-        // the same /api/query shape the monitor serves. Declared
-        // before the server so handlers never outlive the store.
-        obs::Tsdb fleet_tsdb;
-        fleet::publishFleetSeries(result, fleet_tsdb);
-
-        obs::HttpServer server;
-        server.route("/metrics", [](const obs::HttpRequest &) {
-            obs::touchProcessMetrics();
-            obs::HttpResponse resp;
-            resp.content_type =
-                    "text/plain; version=0.0.4; charset=utf-8";
-            resp.body = obs::Registry::global().renderPrometheus();
-            return resp;
-        });
-        const std::string fleet_json = result.toJson();
-        server.route("/fleet", [fleet_json](const obs::HttpRequest &) {
-            obs::HttpResponse resp;
-            resp.content_type = "application/json";
-            resp.body = fleet_json;
-            return resp;
-        });
-        server.route("/api/query", makeQueryHandler(fleet_tsdb));
-        server.route("/api/traces",
-                     makeTracesHandler(tracing.store));
-        std::string err;
-        if (!server.start(flags.port, &err)) {
-            std::fprintf(stderr,
-                         "fleet: cannot start HTTP server: %s\n",
-                         err.c_str());
-            return 1;
-        }
-        if (!flags.port_file.empty()) {
-            std::ofstream pf(flags.port_file, std::ios::trunc);
-            pf << server.port() << "\n";
-        }
-        std::fprintf(stderr,
-                     "fleet: serving /metrics and /fleet on "
-                     "127.0.0.1:%d for %.1fs\n",
-                     server.port(), flags.duration_s);
-        std::this_thread::sleep_for(
-                std::chrono::duration<double>(flags.duration_s));
-        server.stop();
-    }
-
-    // Graceful degradation is success; a fleet with zero healthy
-    // devices is not.
-    return result.scoreboard.devices_ok > 0 ? 0 : 1;
-}
-
 /** `gpupm metrics`: dump the full pre-registered metric catalog. */
 int
 cmdMetrics(const CliFlags &flags)
@@ -1187,15 +1061,9 @@ volatile std::sig_atomic_t g_monitor_stop = 0;
 volatile std::sig_atomic_t g_monitor_dump = 0;
 
 extern "C" void
-monitorSignalHandler(int)
+monitorSignalHandler(int sig)
 {
-    g_monitor_stop = 1;
-}
-
-extern "C" void
-monitorDumpHandler(int)
-{
-    g_monitor_dump = 1;
+    (sig == SIGUSR1 ? g_monitor_dump : g_monitor_stop) = 1;
 }
 
 /** JSON number or -1 when not finite (age before the first sample). */
@@ -1261,23 +1129,16 @@ parseAlertSpec(const std::string &spec, obs::AlertRule &rule,
         err = "bad threshold '" + parts[4] + "'";
         return false;
     }
-    const auto duration_us = [&](const std::string &text,
-                                 std::int64_t &out) {
-        const double d = parseDuration(text);
-        if (d < 0.0)
-            return false;
-        out = static_cast<std::int64_t>(d * 1e6);
-        return true;
-    };
-    if (parts.size() > 5 && !duration_us(parts[5], rule.window_us)) {
+    if (parts.size() > 5 && !parseDurationUs(parts[5], rule.window_us)) {
         err = "bad window duration '" + parts[5] + "'";
         return false;
     }
-    if (parts.size() > 6 && !duration_us(parts[6], rule.for_us)) {
+    if (parts.size() > 6 && !parseDurationUs(parts[6], rule.for_us)) {
         err = "bad for duration '" + parts[6] + "'";
         return false;
     }
-    if (parts.size() > 7 && !duration_us(parts[7], rule.cooldown_us)) {
+    if (parts.size() > 7 &&
+        !parseDurationUs(parts[7], rule.cooldown_us)) {
         err = "bad cooldown duration '" + parts[7] + "'";
         return false;
     }
@@ -1371,83 +1232,113 @@ parseInjectDrift(const std::string &spec)
     if (std::sscanf(spec.c_str(), "%ld:%ld:%lf%c", &inj.from_tick,
                     &inj.to_tick, &inj.scale, &extra) != 3 ||
         inj.from_tick < 0 || inj.to_tick < inj.from_tick ||
-        inj.scale <= 0.0)
+        !(inj.scale > 0.0 && std::isfinite(inj.scale)))
         return std::nullopt;
     return inj;
+}
+
+/** Stop the global profiler, count the run in its metrics, collect. */
+obs::CpuProfile
+finishProfile()
+{
+    auto &profiler = obs::Profiler::global();
+    profiler.stop();
+    auto prof = profiler.collect();
+    obs::profilerRunsTotal().inc();
+    obs::profilerSamplesTotal().inc(static_cast<double>(prof.samples));
+    obs::profilerSamplesDroppedTotal().inc(
+            static_cast<double>(prof.dropped));
+    obs::profilerLastAttributedPct().set(prof.attributedPct());
+    return prof;
+}
+
+/** An application/json response. */
+obs::HttpResponse
+jsonResponse(std::string body, int status = 200)
+{
+    obs::HttpResponse resp;
+    resp.status = status;
+    resp.content_type = "application/json";
+    resp.body = std::move(body);
+    return resp;
+}
+
+/** `/metrics` body: process gauges refreshed, then the registry. */
+obs::HttpResponse
+metricsResponse()
+{
+    obs::touchProcessMetrics();
+    obs::HttpResponse resp;
+    resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
+    resp.body = obs::Registry::global().renderPrometheus();
+    return resp;
+}
+
+/** `key=value` pairs of a URL query string; pairs without '=' skip. */
+std::vector<std::pair<std::string, std::string>>
+queryParams(const std::string &query)
+{
+    std::vector<std::pair<std::string, std::string>> params;
+    std::istringstream qs(query);
+    std::string kv;
+    while (std::getline(qs, kv, '&')) {
+        const auto eq = kv.find('=');
+        if (eq != std::string::npos)
+            params.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
+    }
+    return params;
 }
 
 /**
  * `/api/query` handler over a time-series store. Query parameters:
  * `series` (required), `range`/`step` (durations, default 60s / 1s),
  * or explicit `start_us`/`end_us` for reproducible test queries; the
- * implicit end is the store's newest timestamp.
+ * implicit end is the store's newest timestamp. Non-finite, negative
+ * or out-of-int64 times are a 400, never a query.
  */
 obs::HttpServer::Handler
 makeQueryHandler(const obs::Tsdb &tsdb)
 {
     return [&tsdb](const obs::HttpRequest &req) {
         std::string series;
-        double range_s = 60.0;
-        double step_s = 1.0;
-        std::int64_t start_us = -1;
-        std::int64_t end_us = -1;
+        std::int64_t range_us = 60'000'000;
+        std::int64_t step_us = 1'000'000;
+        long start_us = -1;
+        long end_us = -1;
         bool bad = false;
-        std::istringstream qs(req.query);
-        std::string kv;
-        while (std::getline(qs, kv, '&')) {
-            const auto eq = kv.find('=');
-            if (eq == std::string::npos)
-                continue;
-            const std::string key = kv.substr(0, eq);
-            const std::string val = kv.substr(eq + 1);
+        for (const auto &[key, val] : queryParams(req.query)) {
             if (key == "series") {
                 series = val;
             } else if (key == "range") {
-                range_s = parseDuration(val);
-                bad = bad || range_s < 0.0;
+                bad = bad || !parseDurationUs(val, range_us);
             } else if (key == "step") {
-                step_s = parseDuration(val);
-                bad = bad || step_s <= 0.0;
+                bad = bad || !parseDurationUs(val, step_us) ||
+                      step_us <= 0;
             } else if (key == "start_us") {
-                long v = 0;
-                bad = bad || !numio::parseLong(val, v);
-                start_us = v;
+                bad = bad || !numio::parseLong(val, start_us) ||
+                      start_us < 0;
             } else if (key == "end_us") {
-                long v = 0;
-                bad = bad || !numio::parseLong(val, v);
-                end_us = v;
+                bad = bad || !numio::parseLong(val, end_us) ||
+                      end_us < 0;
             }
         }
-        obs::HttpResponse resp;
-        resp.content_type = "application/json";
-        if (series.empty() || bad) {
-            resp.status = 400;
-            resp.body = "{\"ok\":false,\"error\":\"usage: /api/query"
-                        "?series=<name>&range=60s&step=1s (or "
-                        "start_us/end_us)\"}\n";
-            return resp;
-        }
+        if (series.empty() || bad)
+            return jsonResponse("{\"ok\":false,\"error\":\"usage: "
+                                "/api/query?series=<name>&range=60s&"
+                                "step=1s (or start_us/end_us)\"}\n",
+                                400);
         obs::TsQuery q;
         q.series = series;
-        if (end_us < 0)
-            end_us = tsdb.latestTimestamp();
-        if (end_us == std::numeric_limits<std::int64_t>::min()) {
-            resp.status = 404;
-            resp.body = "{\"ok\":false,\"error\":\"store is "
-                        "empty\"}\n";
-            return resp;
-        }
-        q.end_us = end_us;
-        q.start_us = start_us >= 0
-                             ? start_us
-                             : end_us - static_cast<std::int64_t>(
-                                                range_s * 1e6);
-        q.step_us = static_cast<std::int64_t>(step_s * 1e6);
+        q.end_us = end_us >= 0 ? end_us : tsdb.latestTimestamp();
+        if (q.end_us == std::numeric_limits<std::int64_t>::min())
+            return jsonResponse(
+                    "{\"ok\":false,\"error\":\"store is empty\"}\n",
+                    404);
+        q.start_us = start_us >= 0 ? start_us : q.end_us - range_us;
+        q.step_us = step_us;
         const obs::TsQueryResult res = tsdb.query(q);
-        if (!res.ok)
-            resp.status = 404;
-        resp.body = res.toJson(series) + "\n";
-        return resp;
+        return jsonResponse(res.toJson(series) + "\n",
+                            res.ok ? 200 : 404);
     };
 }
 
@@ -1464,21 +1355,16 @@ makeTracesHandler(const obs::TraceStore &store)
     return [&store](const obs::HttpRequest &req) {
         obs::TraceQuery q;
         bool bad = false;
-        std::istringstream qs(req.query);
-        std::string kv;
-        while (std::getline(qs, kv, '&')) {
-            const auto eq = kv.find('=');
-            if (eq == std::string::npos)
-                continue;
-            const std::string key = kv.substr(0, eq);
-            const std::string val = kv.substr(eq + 1);
+        for (const auto &[key, val] : queryParams(req.query)) {
             if (key == "category") {
                 q.category = val;
             } else if (key == "min_ms") {
-                const double ms = std::atof(val.c_str());
-                bad = bad || ms < 0.0;
-                q.min_dur_us =
-                        static_cast<std::int64_t>(ms * 1000.0);
+                double ms = -1.0;
+                if (numio::parseDouble(val, ms) && ms >= 0.0 &&
+                    ms * 1e-3 <= kMaxDurationS)
+                    q.min_dur_us = static_cast<std::int64_t>(ms * 1e3);
+                else
+                    bad = true;
             } else if (key == "error") {
                 bad = bad || (val != "0" && val != "1");
                 q.error_only = val == "1";
@@ -1496,99 +1382,146 @@ makeTracesHandler(const obs::TraceStore &store)
                 bad = true;
             }
         }
-        obs::HttpResponse resp;
-        resp.content_type = "application/json";
-        if (bad) {
-            resp.status = 400;
-            resp.body = "{\"ok\":false,\"error\":\"usage: "
-                        "/api/traces?category=<cat>&min_ms=<ms>&"
-                        "error=1&trace_id=<hex>&limit=<n>\"}\n";
-            return resp;
-        }
-        resp.body = store.renderJson(q);
-        return resp;
+        if (bad)
+            return jsonResponse("{\"ok\":false,\"error\":\"usage: "
+                                "/api/traces?category=<cat>&min_ms=<ms>&"
+                                "error=1&trace_id=<hex>&limit=<n>\"}\n",
+                                400);
+        return jsonResponse(store.renderJson(q));
     };
 }
 
 /**
- * `gpupm monitor <device>`: the long-running telemetry daemon. Trains
- * a model of the device in-process (same procedure as
- * `gpupm fit <device>`), then runs the online sampling loop — measure
- * the simulated NVML device, predict with the model, feed the residual
- * into the live aggregators — while an embedded HTTP server exposes
- * /metrics, /healthz, /scoreboard and /tracez on loopback. SIGINT or
- * SIGTERM (or --duration elapsing) shuts everything down cleanly and
- * dumps the flight recorder's recent past to stderr.
+ * The route set `monitor` and `fleet --duration` share: /api/query
+ * over `tsdb` and /api/traces over `store` join the caller's routes,
+ * then the server starts on --port and the bound port goes to
+ * --port-file, the readiness signal tests and scripts poll for.
+ * False after printing why the server did not start.
  */
-int
-cmdMonitor(const std::string &device, const CliFlags &flags)
+bool
+serveQueryRoutes(obs::HttpServer &server, const char *cmd,
+                 const obs::Tsdb &tsdb, const obs::TraceStore &store,
+                 const CliFlags &flags)
 {
+    server.route("/api/query", makeQueryHandler(tsdb));
+    server.route("/api/traces", makeTracesHandler(store));
+    std::string err;
+    if (!server.start(flags.port, &err)) {
+        std::fprintf(stderr, "%s: cannot start HTTP server: %s\n", cmd,
+                     err.c_str());
+        return false;
+    }
+    if (!flags.port_file.empty()) {
+        std::ofstream pf(flags.port_file, std::ios::trunc);
+        pf << server.port() << "\n";
+        if (!pf)
+            std::fprintf(stderr, "%s: cannot write %s\n", cmd,
+                         flags.port_file.c_str());
+    }
+    return true;
+}
+
+/** Print the newest `show` flight-recorder records, oldest first. */
+void
+printRecorderTail(const obs::FlightRecorder &recorder, std::size_t show)
+{
+    const auto tail = recorder.snapshot();
+    show = std::min(show, tail.size());
+    std::fprintf(stderr,
+                 "monitor: flight recorder tail (%zu of %lld "
+                 "recorded):\n",
+                 show, static_cast<long long>(recorder.recorded()));
+    for (std::size_t i = tail.size() - show; i < tail.size(); ++i)
+        std::fprintf(stderr, "  #%lld +%.3fs [%s] %s: %s\n",
+                     static_cast<long long>(tail[i].seq),
+                     static_cast<double>(tail[i].ts_us) * 1e-6,
+                     tail[i].kind.c_str(), tail[i].name.c_str(),
+                     tail[i].detail.c_str());
+}
+
+/**
+ * One monitor session: the paper's run-time use case (Sec. III-E) —
+ * train once, profile every scheduled app once at the reference
+ * configuration, then measure and predict on every tick. `monitor`
+ * drives it on the sampler's wall-clock thread behind HTTP; `alerts`
+ * and `traces` drive it on a virtual clock (replayTicks). Built only
+ * by openMonitorSession; the probe and sampler point into it, so it
+ * lives on the heap and never moves.
+ */
+struct MonitorSession
+{
+    MonitorSession(gpu::DeviceKind kind, std::vector<obs::AlertRule> rules)
+        : board(kind), dev(board), engine(tsdb, std::move(rules), &recorder)
+    {
+    }
+    MonitorSession(const MonitorSession &) = delete;
+    MonitorSession &operator=(const MonitorSession &) = delete;
+
+    /** Measure `app` at `cfg` and predict it from the trained model. */
+    obs::MonitorSample probe(const std::string &app,
+                             const gpu::FreqConfig &cfg)
+    {
+        obs::MonitorSample s;
+        s.app = app;
+        s.cfg = cfg;
+        dev.setApplicationClocks(cfg.mem_mhz, cfg.core_mhz);
+        s.measured_w =
+                dev.measureKernelPower(demands.at(app), 2, 0.05).power_w;
+        // Seeded accuracy fault: scale the measurement inside the
+        // tick window so the residuals — and the rolling MAE the
+        // drift rule watches — degrade and recover deterministically.
+        const long tick = probe_ticks++;
+        if (injection && tick >= injection->from_tick &&
+            tick < injection->to_tick)
+            s.measured_w *= injection->scale;
+        s.predicted_w = predictor->at(utils.at(app), cfg).total_w;
+        return s;
+    }
+
+    sim::PhysicalGpu board;
+    std::optional<DriftInjection> injection;
+    std::optional<model::DvfsPowerModel> model;
+    std::optional<model::Predictor> predictor; ///< refers to *model
+    std::map<std::string, gpu::ComponentArray> utils;
+    std::map<std::string, sim::KernelDemand> demands;
+    std::size_t schedule_points = 0;
+    long probe_ticks = 0; ///< probes so far; only the probe touches it
+    obs::FlightRecorder recorder{256};
+    nvml::Device dev;
+    obs::Tsdb tsdb;
+    obs::AlertEngine engine;
+    std::optional<obs::Sampler> sampler;
+};
+
+/**
+ * Build the session `monitor`, `alerts` and `traces` share. Every
+ * flag it reads (device, --period-ms, --inject-drift, --alert and the
+ * drift-rule knobs) is checked before the training campaign, so a bad
+ * flag costs no training time. Then it trains the model in-process
+ * (the `gpupm fit <device>` procedure at 3 power repetitions) and
+ * profiles the schedule: every validation app at the slowest,
+ * reference and fastest V-F configuration, round-robinned, its
+ * utilizations profiled once at the reference configuration and never
+ * again. Returns nullptr after printing why, with `rc` the exit code
+ * (2 for a bad flag, 1 for a failed fit).
+ */
+std::unique_ptr<MonitorSession>
+openMonitorSession(const char *cmd, const std::string &device,
+                   const CliFlags &flags, int &rc)
+{
+    rc = 2;
     const auto kind = parseDevice(device);
     if (!kind) {
         std::fprintf(stderr,
                      "unknown device '%s' (expected titanxp, titanx "
                      "or k40c)\n",
                      device.c_str());
-        return 2;
+        return nullptr;
     }
     if (flags.period_ms <= 0) {
         std::fprintf(stderr, "--period-ms must be positive\n");
-        return 2;
+        return nullptr;
     }
-    common::setProvenanceDevice(deviceToken(*kind));
-    obs::registerStandardMetrics();
-
-    // Request tracing is always on for the daemon: every tick becomes
-    // one assembled trace in the tail-sampled store behind
-    // /api/traces. Declared before sampler and server so neither the
-    // sampler's spans nor the HTTP handlers outlive the store.
-    TraceStoreAttachment tracing(flags);
-
-    sim::PhysicalGpu board(*kind);
-    const auto &desc = board.descriptor();
-
-    // A fresh model of the board under watch, fitted in-process.
-    std::fprintf(stderr, "monitor: training %s model in-process...\n",
-                 desc.name.c_str());
-    model::CampaignOptions copts;
-    copts.power_repetitions = 3;
-    const auto data = model::runTrainingCampaign(
-            board, ubench::buildSuite(), copts);
-    auto fit = model::ModelEstimator().tryEstimate(data);
-    if (!fit.ok()) {
-        std::fprintf(stderr, "fit failed [%s]: %s\n",
-                     std::string(model::fitErrcName(
-                             fit.error().code)).c_str(),
-                     fit.error().message.c_str());
-        return 1;
-    }
-    const model::DvfsPowerModel m = fit.value().model;
-    model::Predictor predictor(m);
-
-    // Schedule: every validation app at the slowest, reference and
-    // fastest V-F configuration, round-robinned. Utilizations are
-    // profiled once at the reference configuration (Sec. III-E); the
-    // run-time loop never re-profiles, exactly as the paper's
-    // operational use case prescribes.
-    const auto configs = desc.allConfigs();
-    const auto ref = desc.referenceConfig();
-    const std::vector<gpu::FreqConfig> points{configs.front(), ref,
-                                              configs.back()};
-    std::map<std::string, gpu::ComponentArray> utils;
-    std::map<std::string, sim::KernelDemand> demands;
-    std::vector<obs::SchedulePoint> schedule;
-    {
-        cupti::Profiler profiler(board, 11);
-        for (const auto &w : workloads::fullValidationSet()) {
-            const auto rm = profiler.profile(w.demand, ref);
-            utils[w.name] =
-                    model::utilizationsFromMetrics(rm, desc, ref);
-            demands[w.name] = w.demand;
-            for (const auto &cfg : points)
-                schedule.push_back({w.name, cfg});
-        }
-    }
-
     std::optional<DriftInjection> injection;
     if (!flags.inject_drift.empty()) {
         injection = parseInjectDrift(flags.inject_drift);
@@ -1597,39 +1530,55 @@ cmdMonitor(const std::string &device, const CliFlags &flags)
                          "bad --inject-drift spec '%s' (expected "
                          "FROM:TO:SCALE)\n",
                          flags.inject_drift.c_str());
-            return 2;
+            return nullptr;
         }
     }
-
-    obs::FlightRecorder recorder(256);
-    nvml::Device dev(board);
-    auto probe_tick = std::make_shared<std::atomic<long>>(0);
-    auto probe = [&, probe_tick](const std::string &app,
-                                 const gpu::FreqConfig &cfg) {
-        obs::MonitorSample s;
-        s.app = app;
-        s.cfg = cfg;
-        dev.setApplicationClocks(cfg.mem_mhz, cfg.core_mhz);
-        const auto pm =
-                dev.measureKernelPower(demands.at(app), 2, 0.05);
-        s.measured_w = pm.power_w;
-        // Seeded accuracy fault: scale the measurement inside the
-        // tick window so the residuals — and the rolling MAE the
-        // drift rule watches — degrade and recover deterministically.
-        const long tick =
-                probe_tick->fetch_add(1, std::memory_order_relaxed);
-        if (injection && tick >= injection->from_tick &&
-            tick < injection->to_tick)
-            s.measured_w *= injection->scale;
-        s.predicted_w = predictor.at(utils.at(app), cfg).total_w;
-        return s;
-    };
-
-    obs::Tsdb tsdb;
     std::vector<obs::AlertRule> rules;
     if (!buildAlertRules(flags, deviceToken(*kind), rules))
-        return 2;
-    obs::AlertEngine engine(tsdb, std::move(rules), &recorder);
+        return nullptr;
+    common::setProvenanceDevice(deviceToken(*kind));
+    obs::registerStandardMetrics();
+
+    auto session = std::make_unique<MonitorSession>(*kind,
+                                                    std::move(rules));
+    MonitorSession &s = *session;
+    s.injection = injection;
+    const auto &desc = s.board.descriptor();
+    std::fprintf(stderr, "%s: training %s model in-process...\n", cmd,
+                 desc.name.c_str());
+    model::CampaignOptions copts;
+    copts.power_repetitions = 3;
+    const auto data = model::runTrainingCampaign(
+            s.board, ubench::buildSuite(), copts);
+    auto fit = model::ModelEstimator().tryEstimate(data);
+    if (!fit.ok()) {
+        std::fprintf(stderr, "fit failed [%s]: %s\n",
+                     std::string(model::fitErrcName(
+                             fit.error().code)).c_str(),
+                     fit.error().message.c_str());
+        rc = 1;
+        return nullptr;
+    }
+    s.model = fit.value().model;
+    s.predictor.emplace(*s.model);
+
+    const auto configs = desc.allConfigs();
+    const auto ref = desc.referenceConfig();
+    const std::vector<gpu::FreqConfig> points{configs.front(), ref,
+                                              configs.back()};
+    std::vector<obs::SchedulePoint> schedule;
+    {
+        cupti::Profiler profiler(s.board, 11);
+        for (const auto &w : workloads::fullValidationSet()) {
+            const auto rm = profiler.profile(w.demand, ref);
+            s.utils[w.name] =
+                    model::utilizationsFromMetrics(rm, desc, ref);
+            s.demands[w.name] = w.demand;
+            for (const auto &cfg : points)
+                schedule.push_back({w.name, cfg});
+        }
+    }
+    s.schedule_points = schedule.size();
 
     obs::SamplerOptions sopts;
     sopts.period_ms = flags.period_ms;
@@ -1642,8 +1591,61 @@ cmdMonitor(const std::string &device, const CliFlags &flags)
     sopts.device = static_cast<int>(*kind);
     sopts.device_name = desc.name;
     sopts.reference = ref;
-    obs::Sampler sampler(probe, std::move(schedule), sopts, &recorder,
-                         &tsdb, &engine);
+    s.sampler.emplace(std::bind_front(&MonitorSession::probe, &s),
+                      std::move(schedule), sopts, &s.recorder, &s.tsdb,
+                      &s.engine);
+    rc = 0;
+    return session;
+}
+
+/**
+ * The virtual-clock driver `alerts` and `traces` share: --ticks
+ * synchronous ticks, tick i at t = (i + 1) * period, on the calling
+ * thread with no sleeps. Virtual time plus the seeded simulated device
+ * make a replay a pure function of its flags. False after printing
+ * why the event log did not open.
+ */
+bool
+replayTicks(MonitorSession &s, const char *cmd, const CliFlags &flags)
+{
+    std::string err;
+    if (!s.sampler->openEvents(&err)) {
+        std::fprintf(stderr, "%s: %s\n", cmd, err.c_str());
+        return false;
+    }
+    const std::int64_t period_us =
+            static_cast<std::int64_t>(flags.period_ms) * 1000;
+    for (long tick = 0; tick < flags.alert_ticks; ++tick)
+        s.sampler->tickSynchronously((tick + 1) * period_us);
+    return true;
+}
+
+/**
+ * `gpupm monitor <device>`: the long-running telemetry daemon. Opens
+ * the monitor session, then runs its sampler on a wall-clock thread —
+ * measure the simulated NVML device, predict with the model, feed the
+ * residual into the live aggregators — while an embedded HTTP server
+ * exposes /metrics, /healthz, /scoreboard, /tracez and the query
+ * routes on loopback. SIGINT or SIGTERM (or --duration elapsing)
+ * shuts everything down cleanly and dumps the flight recorder's
+ * recent past to stderr.
+ */
+int
+cmdMonitor(const std::string &device, const CliFlags &flags)
+{
+    // Request tracing is always on for the daemon, training included:
+    // every tick becomes one assembled trace in the tail-sampled store
+    // behind /api/traces. Declared before session and server so
+    // neither the sampler's spans nor the HTTP handlers outlive the
+    // store.
+    TraceStoreAttachment tracing(flags);
+    int rc = 0;
+    const auto session = openMonitorSession("monitor", device, flags, rc);
+    if (!session)
+        return rc;
+    obs::Sampler &sampler = *session->sampler;
+    obs::AlertEngine &engine = session->engine;
+    obs::FlightRecorder &recorder = session->recorder;
 
     const auto started = std::chrono::steady_clock::now();
     obs::HttpServer server;
@@ -1665,15 +1667,10 @@ cmdMonitor(const std::string &device, const CliFlags &flags)
         return resp;
     });
     server.route("/metrics", [&](const obs::HttpRequest &) {
-        obs::touchProcessMetrics();
         const double age = sampler.lastSampleAgeSeconds();
         if (std::isfinite(age))
             obs::monitorSampleAgeSeconds().set(age);
-        obs::HttpResponse resp;
-        resp.content_type =
-                "text/plain; version=0.0.4; charset=utf-8";
-        resp.body = obs::Registry::global().renderPrometheus();
-        return resp;
+        return metricsResponse();
     });
     server.route("/healthz", [&](const obs::HttpRequest &) {
         const bool stale = sampler.stale();
@@ -1699,17 +1696,10 @@ cmdMonitor(const std::string &device, const CliFlags &flags)
                << "\"";
         os << "],\"provenance\":"
            << common::toJson(common::collectProvenance()) << "}\n";
-        obs::HttpResponse resp;
-        resp.status = stale ? 503
-                      : (!firing.empty() && flags.healthz_degraded_503)
-                              ? 503
-                              : 200;
-        resp.content_type = "application/json";
-        resp.body = os.str();
-        return resp;
+        const bool unhealthy =
+                stale || (!firing.empty() && flags.healthz_degraded_503);
+        return jsonResponse(os.str(), unhealthy ? 503 : 200);
     });
-    server.route("/api/query", makeQueryHandler(tsdb));
-    server.route("/api/traces", makeTracesHandler(tracing.store));
     server.route("/alertz", [&](const obs::HttpRequest &req) {
         const std::int64_t now = engine.lastEvaluatedUs();
         obs::HttpResponse resp;
@@ -1723,16 +1713,10 @@ cmdMonitor(const std::string &device, const CliFlags &flags)
         return resp;
     });
     server.route("/scoreboard", [&](const obs::HttpRequest &) {
-        obs::HttpResponse resp;
-        resp.content_type = "application/json";
-        resp.body = sampler.scoreboardSnapshot().toJson(false);
-        return resp;
+        return jsonResponse(sampler.scoreboardSnapshot().toJson(false));
     });
     server.route("/tracez", [&](const obs::HttpRequest &) {
-        obs::HttpResponse resp;
-        resp.content_type = "application/json";
-        resp.body = recorder.renderJson();
-        return resp;
+        return jsonResponse(recorder.renderJson());
     });
     server.route("/profilez", [&](const obs::HttpRequest &req) {
         // On-demand profile: sample the live daemon for N seconds
@@ -1775,14 +1759,7 @@ cmdMonitor(const std::string &device, const CliFlags &flags)
                                     "s");
         std::this_thread::sleep_for(
                 std::chrono::duration<double>(seconds));
-        profiler.stop();
-        const auto prof = profiler.collect();
-        obs::profilerRunsTotal().inc();
-        obs::profilerSamplesTotal().inc(
-                static_cast<double>(prof.samples));
-        obs::profilerSamplesDroppedTotal().inc(
-                static_cast<double>(prof.dropped));
-        obs::profilerLastAttributedPct().set(prof.attributedPct());
+        const auto prof = finishProfile();
         if (as_json) {
             resp.content_type = "application/json";
             resp.body = prof.renderJson() + "\n";
@@ -1793,74 +1770,48 @@ cmdMonitor(const std::string &device, const CliFlags &flags)
         return resp;
     });
 
-    std::string err;
-    if (!server.start(flags.port, &err)) {
-        std::fprintf(stderr,
-                     "monitor: cannot start HTTP server: %s\n",
-                     err.c_str());
+    // Handlers go in before the server starts: a SIGTERM sent the
+    // moment the port file appears still takes the clean path below.
+    g_monitor_stop = 0;
+    g_monitor_dump = 0;
+    std::signal(SIGINT, monitorSignalHandler);
+    std::signal(SIGTERM, monitorSignalHandler);
+    std::signal(SIGUSR1, monitorSignalHandler);
+    if (!serveQueryRoutes(server, "monitor", session->tsdb, tracing.store,
+                          flags))
         return 1;
-    }
-    if (!flags.port_file.empty()) {
-        std::ofstream pf(flags.port_file, std::ios::trunc);
-        pf << server.port() << "\n";
-        if (!pf)
-            std::fprintf(stderr, "monitor: cannot write %s\n",
-                         flags.port_file.c_str());
-    }
+    std::string err;
     if (!sampler.start(&err)) {
         std::fprintf(stderr, "monitor: %s\n", err.c_str());
-        server.stop();
         return 1;
     }
+    const std::string &name = session->board.descriptor().name;
     recorder.recordSpan("monitor.start", 0,
-                        desc.name + " on 127.0.0.1:" +
+                        name + " on 127.0.0.1:" +
                                 std::to_string(server.port()));
     std::fprintf(stderr,
                  "monitor: listening on 127.0.0.1:%d (period %d ms, "
                  "%zu schedule points)\n",
                  server.port(), flags.period_ms,
-                 utils.size() * points.size());
+                 session->schedule_points);
 
-    // SIGUSR1 diagnostic: everything a stuck daemon's operator needs,
-    // dumped to stderr without stopping anything — the recorder's
-    // recent past plus a full metrics snapshot. The handler only sets
-    // a flag; the dump itself runs here on the main loop.
-    const auto dumpDiagnostic = [&recorder, &sampler, &server]() {
-        std::fprintf(stderr,
-                     "monitor: === live diagnostic (SIGUSR1) ===\n");
-        std::fprintf(stderr,
-                     "monitor: %ld ticks, %ld requests served\n",
-                     sampler.ticks(), server.requestsServed());
-        const auto tail = recorder.snapshot();
-        const std::size_t show =
-                std::min<std::size_t>(tail.size(), 10);
-        std::fprintf(stderr,
-                     "monitor: flight recorder tail (%zu of %lld "
-                     "recorded):\n",
-                     show,
-                     static_cast<long long>(recorder.recorded()));
-        for (std::size_t i = tail.size() - show; i < tail.size(); ++i)
-            std::fprintf(stderr, "  #%lld +%.3fs [%s] %s: %s\n",
-                         static_cast<long long>(tail[i].seq),
-                         static_cast<double>(tail[i].ts_us) * 1e-6,
-                         tail[i].kind.c_str(), tail[i].name.c_str(),
-                         tail[i].detail.c_str());
-        obs::touchProcessMetrics();
-        std::fprintf(stderr, "monitor: metrics snapshot:\n%s",
-                     obs::Registry::global().renderJson().c_str());
-        std::fprintf(stderr,
-                     "monitor: === end live diagnostic ===\n");
-    };
-
-    g_monitor_stop = 0;
-    g_monitor_dump = 0;
-    std::signal(SIGINT, monitorSignalHandler);
-    std::signal(SIGTERM, monitorSignalHandler);
-    std::signal(SIGUSR1, monitorDumpHandler);
     while (!g_monitor_stop && sampler.running()) {
         if (g_monitor_dump) {
+            // SIGUSR1 diagnostic: everything a stuck daemon's operator
+            // needs, dumped to stderr without stopping anything. The
+            // handler only sets a flag; the dump runs here.
             g_monitor_dump = 0;
-            dumpDiagnostic();
+            std::fprintf(stderr,
+                         "monitor: === live diagnostic (SIGUSR1) ===\n");
+            std::fprintf(stderr,
+                         "monitor: %ld ticks, %ld requests served\n",
+                         sampler.ticks(), server.requestsServed());
+            printRecorderTail(recorder, 10);
+            obs::touchProcessMetrics();
+            std::fprintf(stderr, "monitor: metrics snapshot:\n%s",
+                         obs::Registry::global().renderJson().c_str());
+            std::fprintf(stderr,
+                         "monitor: === end live diagnostic ===\n");
         }
         // A fresh span per iteration (not one for the whole loop):
         // /profilez arms the profiler mid-run, and only spans opened
@@ -1880,151 +1831,30 @@ cmdMonitor(const std::string &device, const CliFlags &flags)
     std::signal(SIGTERM, SIG_DFL);
     std::signal(SIGUSR1, SIG_DFL);
     recorder.recordSpan("monitor.stop", 0, "clean shutdown");
-
-    // Post-mortem: the recorder's recent past, oldest of the tail
-    // first, so a crash log always ends with what just happened.
-    const auto tail = recorder.snapshot();
-    const std::size_t show = std::min<std::size_t>(tail.size(), 5);
-    std::fprintf(stderr,
-                 "monitor: flight recorder tail (%zu of %lld "
-                 "recorded):\n",
-                 show, static_cast<long long>(recorder.recorded()));
-    for (std::size_t i = tail.size() - show; i < tail.size(); ++i)
-        std::fprintf(stderr, "  #%lld +%.3fs [%s] %s: %s\n",
-                     static_cast<long long>(tail[i].seq),
-                     static_cast<double>(tail[i].ts_us) * 1e-6,
-                     tail[i].kind.c_str(), tail[i].name.c_str(),
-                     tail[i].detail.c_str());
+    // Post-mortem: a crash log always ends with what just happened.
+    printRecorderTail(recorder, 5);
     return 0;
 }
 
 /**
- * `gpupm alerts <device>`: one-shot alert evaluation. Runs the same
- * in-process train + sample pipeline as `gpupm monitor`, but drives
- * the sampler synchronously for --ticks virtual ticks (tick i lands
- * at t = i * period) instead of on a wall-clock thread — no HTTP
- * server, no sleeps. Virtual time plus the seeded simulated device
- * make the run a pure function of its flags: two invocations emit
- * byte-identical JSON, which the cli_alerts_drift ctest gate asserts.
- * Exit code 1 when any rule is still firing at the final tick, else
- * 0 — scriptable as a health probe.
+ * `gpupm alerts <device>`: one-shot alert evaluation. Replays the
+ * monitor session on the virtual clock for --ticks ticks (no HTTP
+ * server, no sleeps) and prints the alert engine's report: two
+ * invocations emit byte-identical JSON, which the cli_alerts_drift
+ * ctest gate asserts. Exit code 1 when any rule is still firing at the
+ * final tick, else 0 — scriptable as a health probe.
  */
 int
 cmdAlerts(const std::string &device, const CliFlags &flags)
 {
-    const auto kind = parseDevice(device);
-    if (!kind) {
-        std::fprintf(stderr,
-                     "unknown device '%s' (expected titanxp, titanx "
-                     "or k40c)\n",
-                     device.c_str());
-        return 2;
-    }
-    if (flags.period_ms <= 0) {
-        std::fprintf(stderr, "--period-ms must be positive\n");
-        return 2;
-    }
-    std::optional<DriftInjection> injection;
-    if (!flags.inject_drift.empty()) {
-        injection = parseInjectDrift(flags.inject_drift);
-        if (!injection) {
-            std::fprintf(stderr,
-                         "bad --inject-drift spec '%s' (expected "
-                         "FROM:TO:SCALE)\n",
-                         flags.inject_drift.c_str());
-            return 2;
-        }
-    }
-    common::setProvenanceDevice(deviceToken(*kind));
-    obs::registerStandardMetrics();
-
-    sim::PhysicalGpu board(*kind);
-    const auto &desc = board.descriptor();
-    std::fprintf(stderr, "alerts: training %s model in-process...\n",
-                 desc.name.c_str());
-    model::CampaignOptions copts;
-    copts.power_repetitions = 3;
-    const auto data = model::runTrainingCampaign(
-            board, ubench::buildSuite(), copts);
-    auto fit = model::ModelEstimator().tryEstimate(data);
-    if (!fit.ok()) {
-        std::fprintf(stderr, "fit failed [%s]: %s\n",
-                     std::string(model::fitErrcName(
-                             fit.error().code)).c_str(),
-                     fit.error().message.c_str());
+    int rc = 0;
+    const auto session = openMonitorSession("alerts", device, flags, rc);
+    if (!session)
+        return rc;
+    if (!replayTicks(*session, "alerts", flags))
         return 1;
-    }
-    const model::DvfsPowerModel m = fit.value().model;
-    model::Predictor predictor(m);
 
-    const auto configs = desc.allConfigs();
-    const auto ref = desc.referenceConfig();
-    const std::vector<gpu::FreqConfig> points{configs.front(), ref,
-                                              configs.back()};
-    std::map<std::string, gpu::ComponentArray> utils;
-    std::map<std::string, sim::KernelDemand> demands;
-    std::vector<obs::SchedulePoint> schedule;
-    {
-        cupti::Profiler profiler(board, 11);
-        for (const auto &w : workloads::fullValidationSet()) {
-            const auto rm = profiler.profile(w.demand, ref);
-            utils[w.name] =
-                    model::utilizationsFromMetrics(rm, desc, ref);
-            demands[w.name] = w.demand;
-            for (const auto &cfg : points)
-                schedule.push_back({w.name, cfg});
-        }
-    }
-
-    obs::FlightRecorder recorder(256);
-    nvml::Device dev(board);
-    long probe_tick = 0;
-    auto probe = [&](const std::string &app,
-                     const gpu::FreqConfig &cfg) {
-        obs::MonitorSample s;
-        s.app = app;
-        s.cfg = cfg;
-        dev.setApplicationClocks(cfg.mem_mhz, cfg.core_mhz);
-        const auto pm =
-                dev.measureKernelPower(demands.at(app), 2, 0.05);
-        s.measured_w = pm.power_w;
-        const long tick = probe_tick++;
-        if (injection && tick >= injection->from_tick &&
-            tick < injection->to_tick)
-            s.measured_w *= injection->scale;
-        s.predicted_w = predictor.at(utils.at(app), cfg).total_w;
-        return s;
-    };
-
-    obs::Tsdb tsdb;
-    std::vector<obs::AlertRule> rules;
-    if (!buildAlertRules(flags, deviceToken(*kind), rules))
-        return 2;
-    obs::AlertEngine engine(tsdb, std::move(rules), &recorder);
-
-    obs::SamplerOptions sopts;
-    sopts.period_ms = flags.period_ms;
-    sopts.events_out = flags.events_out;
-    sopts.events_max_bytes = flags.events_max_bytes;
-    sopts.events_max_files = flags.events_max_files;
-    sopts.rolling_window =
-            static_cast<std::size_t>(flags.rolling_window);
-    sopts.device = static_cast<int>(*kind);
-    sopts.device_name = desc.name;
-    sopts.reference = ref;
-    obs::Sampler sampler(probe, std::move(schedule), sopts, &recorder,
-                         &tsdb, &engine);
-    std::string err;
-    if (!sampler.openEvents(&err)) {
-        std::fprintf(stderr, "alerts: %s\n", err.c_str());
-        return 1;
-    }
-
-    const std::int64_t period_us =
-            static_cast<std::int64_t>(flags.period_ms) * 1000;
-    for (long tick = 0; tick < flags.alert_ticks; ++tick)
-        sampler.tickSynchronously((tick + 1) * period_us);
-
+    const obs::AlertEngine &engine = session->engine;
     const std::int64_t now = engine.lastEvaluatedUs();
     if (flags.json)
         std::printf("%s\n", engine.renderJson(now).c_str());
@@ -2041,139 +1871,32 @@ cmdAlerts(const std::string &device, const CliFlags &flags)
 }
 
 /**
- * `gpupm traces <device>`: offline request-trace replay. Runs the
- * same in-process train + synchronous-tick pipeline as `gpupm
- * alerts`, but enables request tracing (trace IDs re-seeded from
- * --fault-seed) for the tick loop and prints the assembled traces
- * from the tail-sampled store — one trace per tick, spans in
- * completion order with parent links. Only deterministic fields are
- * printed (IDs, names, categories, error flags, args — no wall-clock
- * timestamps or durations), so two invocations with the same flags
- * emit byte-identical output; the cli_traces ctest gate asserts it.
- * Exit 1 when the store violated its error-retention invariant
- * (an error trace was evicted), else 0.
+ * `gpupm traces <device>`: offline request-trace replay. Replays the
+ * monitor session on the virtual clock like `gpupm alerts`, with
+ * request tracing on for the ticks (trace IDs seeded from
+ * --fault-seed), and prints the assembled traces from the
+ * tail-sampled store — one trace per tick, spans in completion order
+ * with parent links. Only deterministic fields are printed (IDs,
+ * names, categories, error flags, args — no wall-clock timestamps or
+ * durations), so two invocations with the same flags emit
+ * byte-identical output; the cli_traces ctest gate asserts it. Exit 1
+ * when the store violated its error-retention invariant (an error
+ * trace was evicted), else 0.
  */
 int
 cmdTraces(const std::string &device, const CliFlags &flags)
 {
-    const auto kind = parseDevice(device);
-    if (!kind) {
-        std::fprintf(stderr,
-                     "unknown device '%s' (expected titanxp, titanx "
-                     "or k40c)\n",
-                     device.c_str());
-        return 2;
-    }
-    if (flags.period_ms <= 0) {
-        std::fprintf(stderr, "--period-ms must be positive\n");
-        return 2;
-    }
-    std::optional<DriftInjection> injection;
-    if (!flags.inject_drift.empty()) {
-        injection = parseInjectDrift(flags.inject_drift);
-        if (!injection) {
-            std::fprintf(stderr,
-                         "bad --inject-drift spec '%s' (expected "
-                         "FROM:TO:SCALE)\n",
-                         flags.inject_drift.c_str());
-            return 2;
-        }
-    }
-    common::setProvenanceDevice(deviceToken(*kind));
-    obs::registerStandardMetrics();
-
-    sim::PhysicalGpu board(*kind);
-    const auto &desc = board.descriptor();
-    std::fprintf(stderr, "traces: training %s model in-process...\n",
-                 desc.name.c_str());
-    model::CampaignOptions copts;
-    copts.power_repetitions = 3;
-    const auto data = model::runTrainingCampaign(
-            board, ubench::buildSuite(), copts);
-    auto fit = model::ModelEstimator().tryEstimate(data);
-    if (!fit.ok()) {
-        std::fprintf(stderr, "fit failed [%s]: %s\n",
-                     std::string(model::fitErrcName(
-                             fit.error().code)).c_str(),
-                     fit.error().message.c_str());
-        return 1;
-    }
-    const model::DvfsPowerModel m = fit.value().model;
-    model::Predictor predictor(m);
-
-    const auto configs = desc.allConfigs();
-    const auto ref = desc.referenceConfig();
-    const std::vector<gpu::FreqConfig> points{configs.front(), ref,
-                                              configs.back()};
-    std::map<std::string, gpu::ComponentArray> utils;
-    std::map<std::string, sim::KernelDemand> demands;
-    std::vector<obs::SchedulePoint> schedule;
-    {
-        cupti::Profiler profiler(board, 11);
-        for (const auto &w : workloads::fullValidationSet()) {
-            const auto rm = profiler.profile(w.demand, ref);
-            utils[w.name] =
-                    model::utilizationsFromMetrics(rm, desc, ref);
-            demands[w.name] = w.demand;
-            for (const auto &cfg : points)
-                schedule.push_back({w.name, cfg});
-        }
-    }
-
-    obs::FlightRecorder recorder(256);
-    nvml::Device dev(board);
-    long probe_tick = 0;
-    auto probe = [&](const std::string &app,
-                     const gpu::FreqConfig &cfg) {
-        obs::MonitorSample s;
-        s.app = app;
-        s.cfg = cfg;
-        dev.setApplicationClocks(cfg.mem_mhz, cfg.core_mhz);
-        const auto pm =
-                dev.measureKernelPower(demands.at(app), 2, 0.05);
-        s.measured_w = pm.power_w;
-        const long tick = probe_tick++;
-        if (injection && tick >= injection->from_tick &&
-            tick < injection->to_tick)
-            s.measured_w *= injection->scale;
-        s.predicted_w = predictor.at(utils.at(app), cfg).total_w;
-        return s;
-    };
-
-    obs::Tsdb tsdb;
-    std::vector<obs::AlertRule> rules;
-    if (!buildAlertRules(flags, deviceToken(*kind), rules))
-        return 2;
-    obs::AlertEngine engine(tsdb, std::move(rules), &recorder);
-
-    obs::SamplerOptions sopts;
-    sopts.period_ms = flags.period_ms;
-    sopts.events_out = flags.events_out;
-    sopts.events_max_bytes = flags.events_max_bytes;
-    sopts.events_max_files = flags.events_max_files;
-    sopts.rolling_window =
-            static_cast<std::size_t>(flags.rolling_window);
-    sopts.device = static_cast<int>(*kind);
-    sopts.device_name = desc.name;
-    sopts.reference = ref;
-    obs::Sampler sampler(probe, std::move(schedule), sopts, &recorder,
-                         &tsdb, &engine);
-    std::string err;
-    if (!sampler.openEvents(&err)) {
-        std::fprintf(stderr, "traces: %s\n", err.c_str());
-        return 1;
-    }
-
+    int rc = 0;
+    const auto session = openMonitorSession("traces", device, flags, rc);
+    if (!session)
+        return rc;
     // Tracing turns on here, after training, so the store holds
     // exactly the tick traces: seedIds() inside resets the ID counter
     // and makes the minted IDs a pure function of the fault seed and
     // the (single-threaded) span order.
     TraceStoreAttachment tracing(flags);
-
-    const std::int64_t period_us =
-            static_cast<std::int64_t>(flags.period_ms) * 1000;
-    for (long tick = 0; tick < flags.alert_ticks; ++tick)
-        sampler.tickSynchronously((tick + 1) * period_us);
+    if (!replayTicks(*session, "traces", flags))
+        return 1;
 
     obs::TraceQuery all;
     all.limit = static_cast<std::size_t>(flags.alert_ticks) + 16;
@@ -2183,7 +1906,7 @@ cmdTraces(const std::string &device, const CliFlags &flags)
     const auto &store = tracing.store;
     if (flags.json) {
         std::ostringstream os;
-        os << "{\"device\":\"" << deviceToken(*kind)
+        os << "{\"device\":\"" << device
            << "\",\"ticks\":" << flags.alert_ticks
            << ",\"offered\":" << store.offeredTotal()
            << ",\"stored\":" << traces.size()
@@ -2264,6 +1987,108 @@ cmdTraces(const std::string &device, const CliFlags &flags)
     return 0;
 }
 
+
+/**
+ * `gpupm fleet <N>`: the fault-tolerant fleet campaign. N simulated
+ * device instances (three architectures, per-instance ground-truth
+ * jitter) are sharded across the work-stealing pool; each shard runs
+ * under a watchdog deadline with seeded retry/backoff, checkpoints
+ * crash-safely when --resume names a directory, and is quarantined —
+ * with explicit per-device accounting — past its retry budget. Chaos
+ * flags inject shard kills, stalls and poisoned devices; --faults is
+ * shorthand for kills + poison at one rate. With --port/--duration
+ * the merged result is served on /fleet next to /metrics for the
+ * monitor's scrape interval.
+ */
+int
+cmdFleet(const std::string &count, const CliFlags &flags)
+{
+    const long n = std::atol(count.c_str());
+    if (n <= 0) {
+        std::fprintf(stderr,
+                     "fleet needs a positive device count, got "
+                     "'%s'\n",
+                     count.c_str());
+        return 2;
+    }
+    obs::registerStandardMetrics();
+
+    // The campaign runs under one root trace (fleet.campaign) with
+    // every shard attempt, pool hop and watchdog fire inside it;
+    // assembled traces land here and are served on /api/traces while
+    // --duration keeps the process up. One campaign is one giant
+    // request (~350 spans per device), so the fleet store is sized
+    // for a few hundred devices where the monitor's per-tick store
+    // keeps its tight 1 MiB default.
+    obs::TraceStoreOptions tsopts;
+    tsopts.max_bytes = 32u << 20;
+    TraceStoreAttachment tracing(flags, tsopts);
+
+    fleet::FleetOptions fopts;
+    fopts.devices = n;
+    fopts.shards = flags.shards;
+    fopts.threads = flags.threads;
+    fopts.watchdog_deadline_s = flags.deadline_s;
+    fopts.checkpoint_dir = flags.checkpoint;
+    fopts.chaos.seed = flags.fault_seed;
+    fopts.chaos.shard_kill_rate = flags.chaos_kill;
+    fopts.chaos.shard_stall_rate = flags.chaos_stall;
+    fopts.chaos.poison_fraction = flags.chaos_poison;
+    if (flags.fault_rate > 0.0) {
+        if (fopts.chaos.shard_kill_rate == 0.0)
+            fopts.chaos.shard_kill_rate = flags.fault_rate;
+        if (fopts.chaos.poison_fraction == 0.0)
+            fopts.chaos.poison_fraction = flags.fault_rate;
+    }
+
+    const fleet::FleetResult result = fleet::runFleetCampaign(fopts);
+    std::fprintf(stderr, "%s", result.summary().c_str());
+
+    if (!flags.fleet_out.empty()) {
+        auto saved = model::tryWriteFileAtomic(
+                flags.fleet_out,
+                model::wrapEnvelope(model::FileKind::Fleet,
+                                    result.toJson() + "\n"));
+        if (!saved.ok())
+            return reportLoadFailure(saved.error());
+        std::fprintf(stderr, "fleet report written to %s\n",
+                     flags.fleet_out.c_str());
+    }
+    if (flags.json)
+        std::printf("%s\n", result.toJson().c_str());
+
+    if (flags.duration_s > 0.0) {
+        // Per-architecture aggregate series: fleet-level drift
+        // (outlier devices, arch marginals moving) is queryable from
+        // the same /api/query shape the monitor serves. Declared
+        // before the server so handlers never outlive the store.
+        obs::Tsdb fleet_tsdb;
+        fleet::publishFleetSeries(result, fleet_tsdb);
+
+        obs::HttpServer server;
+        server.route("/metrics", [](const obs::HttpRequest &) {
+            return metricsResponse();
+        });
+        const std::string fleet_json = result.toJson();
+        server.route("/fleet", [fleet_json](const obs::HttpRequest &) {
+            return jsonResponse(fleet_json);
+        });
+        if (!serveQueryRoutes(server, "fleet", fleet_tsdb, tracing.store,
+                              flags))
+            return 1;
+        std::fprintf(stderr,
+                     "fleet: serving /metrics and /fleet on "
+                     "127.0.0.1:%d for %.1fs\n",
+                     server.port(), flags.duration_s);
+        std::this_thread::sleep_for(
+                std::chrono::duration<double>(flags.duration_s));
+    }
+
+    // Graceful degradation is success; a fleet with zero healthy
+    // devices is not.
+    return result.scoreboard.devices_ok > 0 ? 0 : 1;
+}
+
 /**
  * Write the observability artifacts requested by --trace-out,
  * --metrics-out and --profile-out. Runs after the command (and its
@@ -2276,15 +2101,7 @@ writeObservabilityArtifacts(const CliFlags &flags)
 {
     if (!flags.profile_out.empty() &&
         obs::Profiler::global().running()) {
-        auto &profiler = obs::Profiler::global();
-        profiler.stop();
-        const auto prof = profiler.collect();
-        obs::profilerRunsTotal().inc();
-        obs::profilerSamplesTotal().inc(
-                static_cast<double>(prof.samples));
-        obs::profilerSamplesDroppedTotal().inc(
-                static_cast<double>(prof.dropped));
-        obs::profilerLastAttributedPct().set(prof.attributedPct());
+        const auto prof = finishProfile();
         if (prof.writeFolded(flags.profile_out))
             std::fprintf(stderr,
                          "cpu profile (%ld samples, %.1f%% "
@@ -2317,6 +2134,10 @@ writeObservabilityArtifacts(const CliFlags &flags)
                          flags.metrics_out.c_str());
     }
 }
+
+/** Positional of the monitor-family commands, for arity errors. */
+constexpr const char *kDeviceArg =
+        "device argument (titanxp, titanx or k40c)";
 
 int
 dispatch(const std::vector<std::string> &args, const CliFlags &flags)
@@ -2405,54 +2226,30 @@ dispatch(const std::vector<std::string> &args, const CliFlags &flags)
             return cmdMetrics(flags);
         if (cmd == "version" && nargs == 1)
             return cmdVersion(flags);
-        if (cmd == "monitor" && nargs == 2)
-            return cmdMonitor(args[1], flags);
-        if (cmd == "alerts" && nargs == 2)
-            return cmdAlerts(args[1], flags);
-        if (cmd == "alerts") {
-            std::fprintf(stderr,
-                         "alerts needs exactly one device argument "
-                         "(titanxp, titanx or k40c), got %d\n",
-                         nargs - 1);
-            return 2;
-        }
-        if (cmd == "traces" && nargs == 2)
-            return cmdTraces(args[1], flags);
-        if (cmd == "traces") {
-            std::fprintf(stderr,
-                         "traces needs exactly one device argument "
-                         "(titanxp, titanx or k40c), got %d\n",
-                         nargs - 1);
-            return 2;
-        }
-        if (cmd == "fleet" && nargs == 2)
-            return cmdFleet(args[1], flags);
-        if (cmd == "fleet") {
-            std::fprintf(stderr,
-                         "fleet needs exactly one <num-devices> "
-                         "argument, got %d\n",
-                         nargs - 1);
-            return 2;
-        }
-        if (cmd == "monitor") {
-            std::fprintf(stderr,
-                         "monitor needs exactly one device argument "
-                         "(titanxp, titanx or k40c), got %d\n",
-                         nargs - 1);
-            return 2;
-        }
-        if (cmd == "audit") {
-            // Flags are stripped by parseFlags wherever they appear,
-            // so the only way to get here with nargs != 2 is a wrong
-            // positional count — say so instead of the generic usage.
+        // One-positional commands. Flags are stripped by parseFlags
+        // wherever they appear, so a wrong count here is a wrong
+        // positional count — say so instead of the generic usage.
+        static const struct
+        {
+            const char *name;
+            const char *arg;
+            int (*run)(const std::string &, const CliFlags &);
+        } one_arg_cmds[] = {
+                {"monitor", kDeviceArg, cmdMonitor},
+                {"alerts", kDeviceArg, cmdAlerts},
+                {"traces", kDeviceArg, cmdTraces},
+                {"fleet", "<num-devices> argument", cmdFleet},
+                {"audit", "<model-file|device> argument", cmdAudit},
+        };
+        for (const auto &c : one_arg_cmds) {
+            if (cmd != c.name)
+                continue;
             if (nargs != 2) {
-                std::fprintf(stderr,
-                             "audit needs exactly one "
-                             "<model-file|device> argument, got %d\n",
-                             nargs - 1);
+                std::fprintf(stderr, "%s needs exactly one %s, got %d\n",
+                             c.name, c.arg, nargs - 1);
                 return 2;
             }
-            return cmdAudit(args[1], flags);
+            return c.run(args[1], flags);
         }
         if (cmd == "export-cuda" && nargs == 2) {
             std::ofstream out(args[1]);

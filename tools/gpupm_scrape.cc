@@ -23,8 +23,12 @@
  *       /scoreboard, /tracez, /profilez, /alertz and /api/query
  *       (asserting the JSON bodies are brace-balanced and the folded
  *       profile parses), fire SIGUSR1 and require the live
- *       diagnostic dump on the daemon's stderr, assert the 404/405
- *       error paths, SIGTERM the daemon and require a clean exit 0.
+ *       diagnostic dump on the daemon's stderr, assert the 400/404/
+ *       405 error paths (non-finite query times must answer promptly
+ *       while the sampler keeps ticking), SIGTERM the daemon and
+ *       require a clean exit 0; then SIGTERM a second daemon the
+ *       moment its port file appears and require the same clean exit
+ *       with its post-mortem dump.
  *       A cmake -P script cannot background a process, so the
  *       orchestration lives here.
  *
@@ -384,9 +388,21 @@ spawnMonitor(const std::string &gpupm, const std::string &device,
         if (pf >> proc->port && proc->port > 0)
             return true;
         proc->port = 0;
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
     *err = "no port file after 30 s";
+    return false;
+}
+
+/** Reap `pid` within 10 s of a signal; false while it still runs. */
+bool
+reapWithin10s(pid_t pid, int *wstatus)
+{
+    for (int waited_ms = 0; waited_ms <= 10000; waited_ms += 50) {
+        if (::waitpid(pid, wstatus, WNOHANG) == pid)
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
     return false;
 }
 
@@ -517,6 +533,28 @@ cmdMonitorSelftest(int argc, char **argv)
                       "/api/query?series=no_such_series&range=10s",
                       404, {}) != 0)
         return killAndFail("/api/query unknown-series check failed");
+    // Non-finite or out-of-range times are a prompt 400, never a
+    // query: a wedged one would hold the tsdb and stall the sampler.
+    for (const char *bad : {"range=inf", "range=nan", "range=1e300",
+                            "step=1e300"}) {
+        if (checkEndpoint(port, "GET",
+                          std::string("/api/query?series="
+                                      "gpupm_monitor_ticks_total&") +
+                                  bad,
+                          400, {"usage: /api/query"}, nullptr,
+                          2000) != 0)
+            return killAndFail(std::string("/api/query ") + bad +
+                               " not rejected");
+    }
+    if (checkEndpoint(port, "GET", "/metrics", 200, {}, &prom) != 0)
+        return killAndFail("/metrics after bad queries failed");
+    const double ticks_after_bad =
+            metricValue(prom, "gpupm_monitor_ticks_total");
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    if (checkEndpoint(port, "GET", "/metrics", 200, {}, &prom) != 0 ||
+        metricValue(prom, "gpupm_monitor_ticks_total") <=
+                ticks_after_bad)
+        return killAndFail("sampler stopped ticking after bad queries");
 
     // /api/traces serves the tail-sampled trace store: every sampler
     // tick roots a fresh trace, so assembled monitor.tick traces with
@@ -535,9 +573,13 @@ cmdMonitorSelftest(int argc, char **argv)
                       "/api/traces?category=monitor&min_ms=0&limit=2",
                       200, {"monitor.tick"}) != 0)
         return killAndFail("/api/traces filtered check failed");
-    if (checkEndpoint(port, "GET", "/api/traces?error=2", 400,
-                      {"usage: /api/traces"}) != 0)
-        return killAndFail("/api/traces bad-param check failed");
+    for (const char *bad : {"error=2", "min_ms=banana", "min_ms=nan"}) {
+        if (checkEndpoint(port, "GET",
+                          std::string("/api/traces?") + bad, 400,
+                          {"usage: /api/traces"}) != 0)
+            return killAndFail(std::string("/api/traces ") + bad +
+                               " not rejected");
+    }
 
     // /profilez runs the wall-clock sampling profiler in-place; the
     // idle daemon sits in its instrumented wait/tick spans, so the
@@ -605,15 +647,9 @@ cmdMonitorSelftest(int argc, char **argv)
         return killAndFail(std::string("kill: ") +
                            std::strerror(errno));
     int wstatus = 0;
-    for (int waited_ms = 0;; waited_ms += 50) {
-        const pid_t r = ::waitpid(pid, &wstatus, WNOHANG);
-        if (r == pid)
-            break;
-        if (waited_ms >= 10000)
-            return killAndFail("monitor did not exit within 10 s of "
-                               "SIGTERM");
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
+    if (!reapWithin10s(pid, &wstatus))
+        return killAndFail("monitor did not exit within 10 s of "
+                           "SIGTERM");
     if (!WIFEXITED(wstatus) || WEXITSTATUS(wstatus) != 0)
         return fail("monitor exit status " +
                     std::to_string(wstatus) + " after SIGTERM");
@@ -625,6 +661,34 @@ cmdMonitorSelftest(int argc, char **argv)
         line.find("\"measured_w\":") == std::string::npos ||
         line.find("\"predicted_w\":") == std::string::npos)
         return fail("event log missing or malformed: " + events_file);
+
+    // A SIGTERM sent the moment the port file appears must take the
+    // same clean path: exit 0 with the post-mortem dump.
+    MonitorProc early;
+    if (!spawnMonitor(gpupm, device, work + "/sigterm-at-start", {},
+                      &early, &spawn_err)) {
+        if (early.pid > 0) {
+            ::kill(early.pid, SIGKILL);
+            ::waitpid(early.pid, nullptr, 0);
+        }
+        return fail("early-SIGTERM monitor: " + spawn_err);
+    }
+    ::kill(early.pid, SIGTERM);
+    if (!reapWithin10s(early.pid, &wstatus)) {
+        ::kill(early.pid, SIGKILL);
+        ::waitpid(early.pid, nullptr, 0);
+        return fail("monitor did not exit within 10 s of an early "
+                    "SIGTERM");
+    }
+    if (!WIFEXITED(wstatus) || WEXITSTATUS(wstatus) != 0)
+        return fail("monitor exit status " + std::to_string(wstatus) +
+                    " after an early SIGTERM");
+    std::ifstream se(early.stderr_file);
+    const std::string early_err((std::istreambuf_iterator<char>(se)),
+                                std::istreambuf_iterator<char>());
+    if (early_err.find("flight recorder tail") == std::string::npos)
+        return fail("no post-mortem dump after an early SIGTERM");
+    std::fprintf(stderr, "gpupm_scrape: ok early SIGTERM exit\n");
 
     std::fprintf(stderr,
                  "gpupm_scrape: monitor selftest passed (clean "
@@ -763,15 +827,9 @@ cmdDriftDemo(int argc, char **argv)
         return killAndFail(std::string("kill: ") +
                            std::strerror(errno));
     int wstatus = 0;
-    for (int waited_ms = 0;; waited_ms += 50) {
-        const pid_t r = ::waitpid(pid, &wstatus, WNOHANG);
-        if (r == pid)
-            break;
-        if (waited_ms >= 10000)
-            return killAndFail("monitor did not exit within 10 s of "
-                               "SIGTERM");
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
+    if (!reapWithin10s(pid, &wstatus))
+        return killAndFail("monitor did not exit within 10 s of "
+                           "SIGTERM");
     if (!WIFEXITED(wstatus) || WEXITSTATUS(wstatus) != 0)
         return fail("monitor exit status " +
                     std::to_string(wstatus) + " after SIGTERM");
