@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/numio.hh"
 #include "common/provenance.hh"
@@ -206,8 +207,8 @@ class BenchReporter
             gpupm::warn("cannot write ", path_);
             return;
         }
-        out << "{\"gpupm_bench_version\":1,\n\"name\":\"" << name_
-            << "\",\n\"provenance\":"
+        out << "{\"gpupm_bench_version\":1,\n\"name\":"
+            << json::quote(name_) << ",\n\"provenance\":"
             << common::toJson(common::collectProvenance())
             << ",\n\"wall_ms\":" << numio::formatDouble(wall_ms)
             << ",\n\"phases_ms\":{";
@@ -227,7 +228,7 @@ class BenchReporter
             }
             if (hi > lo)
                 total += hi - lo;
-            out << (first ? "" : ",") << "\"" << kv.first << "\":"
+            out << (first ? "" : ",") << json::quote(kv.first) << ':'
                 << numio::formatDouble(total / 1000.0);
             first = false;
         }
@@ -237,7 +238,7 @@ class BenchReporter
         out << ",\n\"stats\":{";
         first = true;
         for (const auto &kv : stats_) {
-            out << (first ? "" : ",") << "\"" << kv.first << "\":"
+            out << (first ? "" : ",") << json::quote(kv.first) << ':'
                 << numio::formatDouble(kv.second);
             first = false;
         }

@@ -4,12 +4,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <utility>
 #include <vector>
 
 #include "common/checksum.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/numio.hh"
 #include "core/validate.hh"
@@ -413,50 +413,49 @@ parseCampaignPayload(const std::string &payload)
 }
 
 // ---------------------------------------------------------------------
-// Campaign checkpoints: JSON, hand-rolled (no external dependencies).
-// The writer emits a fixed schema; the reader is a small
-// recursive-descent parser over general JSON, so checkpoints stay
-// readable by standard tooling (`tail -n +2 ck | jq .`) and edits by
-// such tooling stay readable by us.
+// Campaign checkpoints and scoreboards: JSON through common/json, so
+// checkpoints stay readable by standard tooling (`tail -n +2 ck | jq
+// .`) and edits by such tooling stay readable by us.
 // ---------------------------------------------------------------------
 
-namespace json
+/** Parse a JSON payload; a rejected document is a ParseError. */
+json::Value
+parseJson(const std::string &payload)
 {
+    json::Value root;
+    json::Error err;
+    if (!json::parse(payload, root, err))
+        failParse(IoErrc::ParseError, "json: ", err.message());
+    return root;
+}
 
-/** One parsed JSON value (tagged union over the JSON types). */
-struct Value
+/**
+ * Throwing accessors that hold a parsed value to the checkpoint and
+ * scoreboard schemas: a missing field or a wrong type is a
+ * ParseError.
+ */
+class Field
 {
-    enum class Type { Null, Bool, Number, String, Array, Object };
+  public:
+    Field(const json::Value &v) : v_(v) {}
 
-    Type type = Type::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string string;
-    std::vector<Value> array;
-    std::map<std::string, Value> object;
-
-    const Value &
-    at(const std::string &field) const
+    Field
+    at(const char *name) const
     {
-        if (type != Type::Object)
-            failParse(IoErrc::ParseError,
-                      "checkpoint: expected object around '", field,
+        const json::Value *f = v_.find(name);
+        if (!f)
+            failParse(IoErrc::ParseError, "json: missing field '", name,
                       "'");
-        auto it = object.find(field);
-        if (it == object.end())
-            failParse(IoErrc::ParseError,
-                      "checkpoint: missing field '", field, "'");
-        return it->second;
+        return *f;
     }
 
-    double
-    num() const
+    /** An optional member; nullptr when absent. */
+    const json::Value *find(const char *name) const
     {
-        if (type != Type::Number)
-            failParse(IoErrc::ParseError,
-                      "checkpoint: expected a number");
-        return number;
+        return v_.find(name);
     }
+
+    double num() const { return as(Kind::Number, "a number").number; }
 
     long
     integer() const
@@ -464,233 +463,41 @@ struct Value
         const double d = num();
         if (!(d >= -9.2e18 && d <= 9.2e18))
             failParse(IoErrc::ParseError,
-                      "checkpoint: integer field out of range");
+                      "json: integer field out of range");
         return static_cast<long>(d);
     }
 
     const std::string &
     str() const
     {
-        if (type != Type::String)
-            failParse(IoErrc::ParseError,
-                      "checkpoint: expected a string");
-        return string;
+        return as(Kind::String, "a string").str;
     }
 
-    const std::vector<Value> &
-    arr() const
+    /** An array of at most `max_len` elements, so a fuzzed file
+     *  cannot pass off an implausible row count. */
+    const std::vector<json::Value> &
+    arr(std::size_t max_len = kMaxCells) const
     {
-        if (type != Type::Array)
-            failParse(IoErrc::ParseError,
-                      "checkpoint: expected an array");
-        return array;
-    }
-};
-
-/** Recursive-descent JSON parser (throws ParseFail on bad input). */
-class Parser
-{
-  public:
-    explicit Parser(const std::string &text) : text_(text) {}
-
-    Value
-    parse()
-    {
-        Value v = parseValue();
-        skipSpace();
-        if (pos_ != text_.size())
-            failParse(IoErrc::ParseError,
-                      "checkpoint: trailing characters at offset ",
-                      pos_);
-        return v;
+        const auto &a = as(Kind::Array, "an array").array;
+        if (a.size() > max_len)
+            failParse(IoErrc::ParseError, "json: implausible array of ",
+                      a.size(), " elements");
+        return a;
     }
 
   private:
-    /** Fuzzed "[[[[[..." must not overflow the parser's stack. */
-    static constexpr int kMaxDepth = 64;
+    using Kind = json::Value::Kind;
 
-    void
-    skipSpace()
+    const json::Value &
+    as(Kind kind, const char *what) const
     {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r'))
-            ++pos_;
+        if (v_.kind != kind)
+            failParse(IoErrc::ParseError, "json: expected ", what);
+        return v_;
     }
 
-    char
-    peek()
-    {
-        skipSpace();
-        if (pos_ >= text_.size())
-            failParse(IoErrc::ParseError,
-                      "checkpoint: unexpected end of input");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            failParse(IoErrc::ParseError, "checkpoint: expected '",
-                      c, "' at offset ", pos_, ", got '",
-                      text_[pos_], "'");
-        ++pos_;
-    }
-
-    bool
-    consume(char c)
-    {
-        if (pos_ < text_.size() && peek() == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    void
-    expectWord(std::string_view word)
-    {
-        if (text_.compare(pos_, word.size(), word) != 0)
-            failParse(IoErrc::ParseError,
-                      "checkpoint: bad literal at offset ", pos_);
-        pos_ += word.size();
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string s;
-        while (true) {
-            if (pos_ >= text_.size())
-                failParse(IoErrc::ParseError,
-                          "checkpoint: unterminated string");
-            const char c = text_[pos_++];
-            if (c == '"')
-                return s;
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    failParse(IoErrc::ParseError,
-                              "checkpoint: unterminated escape");
-                const char e = text_[pos_++];
-                switch (e) {
-                  case '"': s += '"'; break;
-                  case '\\': s += '\\'; break;
-                  case '/': s += '/'; break;
-                  case 'n': s += '\n'; break;
-                  case 't': s += '\t'; break;
-                  case 'r': s += '\r'; break;
-                  default:
-                    failParse(IoErrc::ParseError,
-                              "checkpoint: unsupported escape '\\",
-                              e, "'");
-                }
-            } else {
-                s += c;
-            }
-        }
-    }
-
-    double
-    parseNumber()
-    {
-        const std::size_t start = pos_;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if ((c >= '0' && c <= '9') || c == '+' || c == '-' ||
-                c == '.' || c == 'e' || c == 'E')
-                ++pos_;
-            else
-                break;
-        }
-        const std::string_view tok =
-                std::string_view(text_).substr(start, pos_ - start);
-        double v = 0.0;
-        if (tok.empty() || !numio::parseDouble(tok, v) ||
-            !std::isfinite(v))
-            failParse(IoErrc::ParseError,
-                      "checkpoint: bad number at offset ", start);
-        return v;
-    }
-
-    Value
-    parseValue()
-    {
-        if (++depth_ > kMaxDepth)
-            failParse(IoErrc::ParseError,
-                      "checkpoint: nesting deeper than ", kMaxDepth,
-                      " levels");
-        const char c = peek();
-        Value v;
-        if (c == '{') {
-            ++pos_;
-            v.type = Value::Type::Object;
-            if (!consume('}')) {
-                do {
-                    skipSpace();
-                    std::string field = parseString();
-                    expect(':');
-                    v.object.emplace(std::move(field), parseValue());
-                } while (consume(','));
-                expect('}');
-            }
-        } else if (c == '[') {
-            ++pos_;
-            v.type = Value::Type::Array;
-            if (!consume(']')) {
-                do {
-                    v.array.push_back(parseValue());
-                } while (consume(','));
-                expect(']');
-            }
-        } else if (c == '"') {
-            v.type = Value::Type::String;
-            v.string = parseString();
-        } else if (c == 't') {
-            expectWord("true");
-            v.type = Value::Type::Bool;
-            v.boolean = true;
-        } else if (c == 'f') {
-            expectWord("false");
-            v.type = Value::Type::Bool;
-        } else if (c == 'n') {
-            expectWord("null");
-        } else {
-            v.type = Value::Type::Number;
-            v.number = parseNumber();
-        }
-        --depth_;
-        return v;
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-    int depth_ = 0;
+    const json::Value &v_;
 };
-
-void
-putNumber(std::ostringstream &os, double x)
-{
-    os << numio::formatDouble(x);
-}
-
-void
-putString(std::ostringstream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          case '\r': os << "\\r"; break;
-          default: os << c;
-        }
-    }
-    os << '"';
-}
 
 void
 putConfig(std::ostringstream &os, const gpu::FreqConfig &cfg)
@@ -700,13 +507,13 @@ putConfig(std::ostringstream &os, const gpu::FreqConfig &cfg)
 }
 
 gpu::FreqConfig
-configOf(const Value &v)
+configOf(Field v)
 {
     if (v.arr().size() != 2)
         failParse(IoErrc::ParseError,
                   "checkpoint: a config is a [core, mem] pair");
-    const long core = v.arr()[0].integer();
-    const long mem = v.arr()[1].integer();
+    const long core = Field(v.arr()[0]).integer();
+    const long mem = Field(v.arr()[1]).integer();
     if (core < -2147483647L || core > 2147483647L ||
         mem < -2147483647L || mem > 2147483647L)
         failParse(IoErrc::ParseError,
@@ -714,12 +521,11 @@ configOf(const Value &v)
     return {static_cast<int>(core), static_cast<int>(mem)};
 }
 
-} // namespace json
-
 CampaignCheckpoint
 parseCheckpointPayload(const std::string &payload)
 {
-    const json::Value root = json::Parser(payload).parse();
+    const json::Value doc = parseJson(payload);
+    const Field root(doc);
     if (root.at("format").str() != "gpupm-checkpoint" ||
         root.at("version").integer() != 1)
         failParse(IoErrc::VersionMismatch,
@@ -732,13 +538,10 @@ parseCheckpointPayload(const std::string &payload)
         failParse(IoErrc::ParseError, "checkpoint: bad seed");
     ck.seed = static_cast<std::uint64_t>(seed);
     ck.device = deviceKindOf(root.at("device").integer());
-    ck.reference = json::configOf(root.at("reference"));
-    if (root.at("configs").arr().size() > kMaxCount)
-        failParse(IoErrc::ParseError,
-                  "checkpoint: implausible configuration count");
-    for (const auto &v : root.at("configs").arr())
-        ck.configs.push_back(json::configOf(v));
-    for (const auto &v : root.at("benchmarks").arr())
+    ck.reference = configOf(root.at("reference"));
+    for (const Field v : root.at("configs").arr(kMaxCount))
+        ck.configs.push_back(configOf(v));
+    for (const Field v : root.at("benchmarks").arr())
         ck.benchmark_names.push_back(v.str());
 
     const std::size_t nb = ck.benchmark_names.size();
@@ -747,28 +550,28 @@ parseCheckpointPayload(const std::string &payload)
         failParse(IoErrc::ParseError,
                   "checkpoint: implausible campaign size");
 
-    for (const auto &v : root.at("utils_done").arr())
+    for (const Field v : root.at("utils_done").arr())
         ck.utils_done.push_back(v.num() != 0.0 ? 1 : 0);
     if (ck.utils_done.size() != nb)
         failParse(IoErrc::ParseError,
                   "checkpoint: utils_done size mismatch");
 
-    for (const auto &row : root.at("utils").arr()) {
+    for (const Field row : root.at("utils").arr()) {
         if (row.arr().size() != gpu::kNumComponents)
             failParse(IoErrc::ParseError,
                       "checkpoint: bad utilization row");
         gpu::ComponentArray u{};
         for (std::size_t i = 0; i < gpu::kNumComponents; ++i)
-            u[i] = row.arr()[i].num();
+            u[i] = Field(row.arr()[i]).num();
         ck.utils.push_back(u);
     }
     if (ck.utils.size() != nb)
         failParse(IoErrc::ParseError,
                   "checkpoint: utils size mismatch");
 
-    for (const auto &row : root.at("power_done").arr()) {
+    for (const Field row : root.at("power_done").arr()) {
         std::vector<char> flags;
-        for (const auto &v : row.arr())
+        for (const Field v : row.arr())
             flags.push_back(v.num() != 0.0 ? 1 : 0);
         if (flags.size() != nc)
             failParse(IoErrc::ParseError,
@@ -779,9 +582,9 @@ parseCheckpointPayload(const std::string &payload)
         failParse(IoErrc::ParseError,
                   "checkpoint: power_done size mismatch");
 
-    for (const auto &row : root.at("power_w").arr()) {
+    for (const Field row : root.at("power_w").arr()) {
         std::vector<double> vals;
-        for (const auto &v : row.arr())
+        for (const Field v : row.arr())
             vals.push_back(v.num());
         if (vals.size() != nc)
             failParse(IoErrc::ParseError,
@@ -792,7 +595,7 @@ parseCheckpointPayload(const std::string &payload)
         failParse(IoErrc::ParseError,
                   "checkpoint: power size mismatch");
 
-    const json::Value &r = root.at("report");
+    const Field r = root.at("report");
     ck.report.cells_total = r.at("cells_total").integer();
     ck.report.cells_done = r.at("cells_done").integer();
     ck.report.cells_resumed = r.at("cells_resumed").integer();
@@ -809,9 +612,9 @@ parseCheckpointPayload(const std::string &payload)
     ck.report.totals.quarantined_calls =
             r.at("quarantined_calls").integer();
     ck.report.totals.backoff_total_s = r.at("backoff_total_s").num();
-    for (const auto &v : r.at("quarantined").arr())
-        ck.report.quarantined.push_back(json::configOf(v));
-    for (const auto &v : r.at("benchmark_reports").arr()) {
+    for (const Field v : r.at("quarantined").arr())
+        ck.report.quarantined.push_back(configOf(v));
+    for (const Field v : r.at("benchmark_reports").arr()) {
         BenchmarkReport br;
         br.name = v.at("name").str();
         br.retries = v.at("retries").integer();
@@ -831,7 +634,7 @@ parseCheckpointPayload(const std::string &payload)
 // -- Scoreboard payload (JSON, schema gpupm_scoreboard_version 1) ----
 
 int
-intOf(const json::Value &v, const char *what)
+intOf(Field v, const char *what)
 {
     const long x = v.integer();
     if (x < -2147483647L || x > 2147483647L)
@@ -841,7 +644,7 @@ intOf(const json::Value &v, const char *what)
 }
 
 obs::ScoreStats
-scoreStatsOf(const json::Value &v)
+scoreStatsOf(Field v)
 {
     obs::ScoreStats st;
     const long n = v.at("samples").integer();
@@ -859,45 +662,36 @@ scoreStatsOf(const json::Value &v)
 obs::Scoreboard
 parseScoreboardPayload(const std::string &payload)
 {
-    const json::Value root = json::Parser(payload).parse();
+    const json::Value doc = parseJson(payload);
+    const Field root(doc);
     if (root.at("gpupm_scoreboard_version").integer() != 1)
         failParse(IoErrc::VersionMismatch,
                   "unsupported scoreboard schema version (this build "
                   "reads version 1)");
 
     obs::Scoreboard sb;
-    const json::Value &prov = root.at("provenance");
+    const Field prov = root.at("provenance");
     sb.provenance.version = prov.at("version").str();
     sb.provenance.build_type = prov.at("build_type").str();
     sb.provenance.device = prov.at("device").str();
     sb.provenance.timestamp = prov.at("timestamp").str();
     // Optional: scoreboards written before the build-info extension
     // carry neither field.
-    const auto git = prov.object.find("git_sha");
-    if (git != prov.object.end())
-        sb.provenance.git_sha = git->second.str();
-    const auto cxx = prov.object.find("compiler");
-    if (cxx != prov.object.end())
-        sb.provenance.compiler = cxx->second.str();
+    if (const auto *git = prov.find("git_sha"))
+        sb.provenance.git_sha = Field(*git).str();
+    if (const auto *cxx = prov.find("compiler"))
+        sb.provenance.compiler = Field(*cxx).str();
 
     sb.device = static_cast<int>(
             deviceKindOf(root.at("device").integer()));
     sb.device_name = root.at("device_name").str();
-    sb.reference = json::configOf(root.at("reference"));
+    sb.reference = configOf(root.at("reference"));
     sb.overall = scoreStatsOf(root.at("summary"));
 
-    const auto &apps = root.at("per_app").arr();
-    if (apps.size() > kMaxCount)
-        failParse(IoErrc::ParseError,
-                  "scoreboard: implausible per-app row count");
-    for (const auto &v : apps)
+    for (const Field v : root.at("per_app").arr(kMaxCount))
         sb.per_app.push_back({v.at("app").str(), scoreStatsOf(v)});
 
-    const auto &cfgs = root.at("per_config").arr();
-    if (cfgs.size() > kMaxCount)
-        failParse(IoErrc::ParseError,
-                  "scoreboard: implausible per-config row count");
-    for (const auto &v : cfgs)
+    for (const Field v : root.at("per_config").arr(kMaxCount))
         sb.per_config.push_back(
                 {gpu::FreqConfig{intOf(v.at("core_mhz"), "core clock"),
                                  intOf(v.at("mem_mhz"), "mem clock")},
@@ -908,31 +702,18 @@ parseScoreboardPayload(const std::string &payload)
                   "core_marginal", &sb.core_marginal},
           std::pair<const char *, std::vector<obs::MarginalScore> *>{
                   "mem_marginal", &sb.mem_marginal}}) {
-        const auto &rows = root.at(key).arr();
-        if (rows.size() > kMaxCount)
-            failParse(IoErrc::ParseError,
-                      "scoreboard: implausible marginal row count");
-        for (const auto &v : rows)
+        for (const Field v : root.at(key).arr(kMaxCount))
             out->push_back({intOf(v.at("mhz"), "marginal clock"),
                             scoreStatsOf(v)});
     }
 
-    const auto &bases = root.at("baselines").arr();
-    if (bases.size() > kMaxCount)
-        failParse(IoErrc::ParseError,
-                  "scoreboard: implausible baseline count");
-    for (const auto &v : bases)
+    for (const Field v : root.at("baselines").arr(kMaxCount))
         sb.baselines.push_back(
                 {v.at("name").str(), v.at("mae_pct").num()});
 
     // Raw residuals are optional: golden scoreboards are summary-only.
-    const auto it = root.object.find("samples");
-    if (it != root.object.end()) {
-        const auto &rows = it->second.arr();
-        if (rows.size() > kMaxCells)
-            failParse(IoErrc::ParseError,
-                      "scoreboard: implausible residual count");
-        for (const auto &v : rows) {
+    if (const auto *raw = root.find("samples")) {
+        for (const Field v : Field(*raw).arr()) {
             obs::ResidualSample s;
             s.app = v.at("app").str();
             s.cfg = {intOf(v.at("core_mhz"), "core clock"),
@@ -946,11 +727,9 @@ parseScoreboardPayload(const std::string &payload)
                           "scoreboard: bad component vector size ",
                           comp.size());
             for (std::size_t i = 0; i < gpu::kNumComponents; ++i)
-                s.component_w[i] = comp[i].num();
-            const auto bw = v.object.find("baseline_w");
-            if (v.type == json::Value::Type::Object &&
-                bw != v.object.end())
-                for (const auto &b : bw->second.arr())
+                s.component_w[i] = Field(comp[i]).num();
+            if (const auto *bw = v.find("baseline_w"))
+                for (const Field b : Field(*bw).arr())
                     s.baseline_w.emplace_back(b.at("name").str(),
                                               b.at("w").num());
             sb.samples.push_back(std::move(s));
@@ -1256,10 +1035,6 @@ loadTrainingData(const std::string &path)
 std::string
 serializeCampaignCheckpoint(const CampaignCheckpoint &ck)
 {
-    using json::putConfig;
-    using json::putNumber;
-    using json::putString;
-
     std::ostringstream os;
     os << "{\n";
     os << "\"format\":\"gpupm-checkpoint\",\n\"version\":1,\n";
@@ -1278,7 +1053,7 @@ serializeCampaignCheckpoint(const CampaignCheckpoint &ck)
     for (std::size_t i = 0; i < ck.benchmark_names.size(); ++i) {
         if (i)
             os << ",";
-        putString(os, ck.benchmark_names[i]);
+        os << json::quote(ck.benchmark_names[i]);
     }
     os << "],\n\"utils_done\":[";
     for (std::size_t i = 0; i < ck.utils_done.size(); ++i)
@@ -1289,7 +1064,7 @@ serializeCampaignCheckpoint(const CampaignCheckpoint &ck)
         for (std::size_t i = 0; i < gpu::kNumComponents; ++i) {
             if (i)
                 os << ",";
-            putNumber(os, ck.utils[b][i]);
+            os << numio::formatDouble(ck.utils[b][i]);
         }
         os << "]";
     }
@@ -1306,7 +1081,7 @@ serializeCampaignCheckpoint(const CampaignCheckpoint &ck)
         for (std::size_t c = 0; c < ck.power_w[b].size(); ++c) {
             if (c)
                 os << ",";
-            putNumber(os, ck.power_w[b][c]);
+            os << numio::formatDouble(ck.power_w[b][c]);
         }
         os << "]";
     }
@@ -1326,8 +1101,8 @@ serializeCampaignCheckpoint(const CampaignCheckpoint &ck)
        << ",";
     os << "\"quarantined_calls\":" << r.totals.quarantined_calls
        << ",";
-    os << "\"backoff_total_s\":";
-    putNumber(os, r.totals.backoff_total_s);
+    os << "\"backoff_total_s\":"
+       << numio::formatDouble(r.totals.backoff_total_s);
     os << ",\n\"quarantined\":[";
     for (std::size_t i = 0; i < r.quarantined.size(); ++i) {
         if (i)
@@ -1338,8 +1113,7 @@ serializeCampaignCheckpoint(const CampaignCheckpoint &ck)
     for (std::size_t b = 0; b < r.benchmarks.size(); ++b) {
         const BenchmarkReport &br = r.benchmarks[b];
         os << (b ? ",\n{" : "\n{");
-        os << "\"name\":";
-        putString(os, br.name);
+        os << "\"name\":" << json::quote(br.name);
         os << ",\"retries\":" << br.retries;
         os << ",\"call_failures\":" << br.call_failures;
         os << ",\"timeouts\":" << br.timeouts;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/numio.hh"
 #include "common/stats.hh"
 #include "gpu/device.hh"
@@ -31,17 +32,6 @@ pct(double v)
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.2f", v);
     return buf;
-}
-
-void
-appendScoreStats(std::ostringstream &os, const obs::ScoreStats &s)
-{
-    os << "{\"samples\":" << s.samples << ",\"mae_pct\":"
-       << numio::formatDouble(s.mae_pct) << ",\"rmse_w\":"
-       << numio::formatDouble(s.rmse_w) << ",\"max_err_pct\":"
-       << numio::formatDouble(s.max_err_pct)
-       << ",\"mean_measured_w\":"
-       << numio::formatDouble(s.mean_measured_w) << "}";
 }
 
 } // namespace
@@ -138,16 +128,16 @@ FleetScoreboard::toJson(bool include_failures) const
     os << "{\"schema\":\"gpupm_fleet_v1\",\"devices_ok\":"
        << devices_ok;
     os << ",\"overall\":";
-    appendScoreStats(os, overall);
+    os << '{' << obs::scoreStatsFields(overall) << '}';
     os << ",\"per_arch\":[";
     for (std::size_t i = 0; i < per_arch.size(); ++i)
     {
         if (i)
             os << ',';
-        os << "{\"arch\":\"" << per_arch[i].arch
-           << "\",\"devices_ok\":" << per_arch[i].devices_ok
+        os << "{\"arch\":" << json::quote(per_arch[i].arch)
+           << ",\"devices_ok\":" << per_arch[i].devices_ok
            << ",\"stats\":";
-        appendScoreStats(os, per_arch[i].stats);
+        os << '{' << obs::scoreStatsFields(per_arch[i].stats) << '}';
         os << '}';
     }
     os << "],\"devices\":[";
@@ -158,7 +148,7 @@ FleetScoreboard::toJson(bool include_failures) const
             os << ',';
         os << "{\"id\":" << ds.id << ",\"kind\":"
            << static_cast<int>(ds.kind) << ",\"stats\":";
-        appendScoreStats(os, ds.stats);
+        os << '{' << obs::scoreStatsFields(ds.stats) << '}';
         os << ",\"fit_rmse_w\":" << numio::formatDouble(ds.fit_rmse_w)
            << ",\"fit_iterations\":" << ds.fit_iterations << '}';
     }
@@ -179,8 +169,8 @@ FleetScoreboard::toJson(bool include_failures) const
         {
             if (i)
                 os << ',';
-            os << '"' << failures_by_kind[i].first
-               << "\":" << failures_by_kind[i].second;
+            os << json::quote(failures_by_kind[i].first) << ':'
+               << failures_by_kind[i].second;
         }
         os << "},\"failures\":[";
         for (std::size_t i = 0; i < failures.size(); ++i)
@@ -189,8 +179,8 @@ FleetScoreboard::toJson(bool include_failures) const
             if (i)
                 os << ',';
             os << "{\"id\":" << f.id << ",\"kind\":"
-               << static_cast<int>(f.kind) << ",\"fail\":\""
-               << deviceFailKindName(f.fail) << "\"}";
+               << static_cast<int>(f.kind) << ",\"fail\":"
+               << json::quote(deviceFailKindName(f.fail)) << '}';
         }
         os << ']';
     }

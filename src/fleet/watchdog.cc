@@ -70,6 +70,10 @@ Watchdog::scanLoop()
         {
             if (it->second.deadline <= now)
             {
+                // Count the fire before publishing the cancellation:
+                // whoever sees the token set (acquire) then also sees
+                // firedCount() include it.
+                fired_.fetch_add(1, std::memory_order_relaxed);
                 if (it->second.token)
                     it->second.token->store(
                             true, std::memory_order_release);
@@ -82,7 +86,6 @@ Watchdog::scanLoop()
                                         "fleet.watchdog_fire");
                     fire.markError();
                 }
-                fired_.fetch_add(1, std::memory_order_relaxed);
                 it = armed_.erase(it);
             }
             else

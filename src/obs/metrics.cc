@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/numio.hh"
 #include "common/provenance.hh"
@@ -362,18 +363,10 @@ Registry::renderJson() const
        << common::toJson(common::collectProvenance());
     for (const auto &[family, children] : metrics_) {
       for (const auto &[labels, e] : children) {
-        std::string name =
-                labels.empty() ? family : family + "{" + labels + "}";
-        // The label body carries quotes; escape them for the JSON key.
-        std::string key;
-        key.reserve(name.size());
-        for (char c : name) {
-            if (c == '"' || c == '\\')
-                key += '\\';
-            key += c;
-        }
-        os << ",";
-        os << "\n\"" << key << "\":{";
+        os << ",\n"
+           << json::quote(labels.empty() ? family
+                                         : family + "{" + labels + "}")
+           << ":{";
         switch (e.kind) {
           case Kind::Counter:
             os << "\"type\":\"counter\",\"value\":"

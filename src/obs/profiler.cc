@@ -20,6 +20,8 @@
 #include <ucontext.h>
 #include <unistd.h>
 
+#include "common/json.hh"
+
 namespace gpupm
 {
 namespace obs
@@ -112,31 +114,6 @@ foldSanitize(std::string s)
         if (c == ';' || c == '\n' || c == '\r')
             c = ':';
     return s;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 std::string
@@ -530,7 +507,7 @@ CpuProfile::renderJson(std::size_t top_n) const
         first = false;
         const std::string name =
                 kv.first.empty() ? "untagged" : kv.first;
-        os << '"' << jsonEscape(name) << "\":{\"samples\":"
+        os << '"' << json::escape(name) << "\":{\"samples\":"
            << kv.second << ",\"share_pct\":"
            << formatPct(categorySharePct(kv.first)) << '}';
     }
@@ -543,7 +520,7 @@ CpuProfile::renderJson(std::size_t top_n) const
         os << "{\"tid\":" << kv.first << ",\"samples\":" << kv.second;
         const auto it = thread_labels.find(kv.first);
         if (it != thread_labels.end())
-            os << ",\"label\":\"" << jsonEscape(it->second) << '"';
+            os << ",\"label\":\"" << json::escape(it->second) << '"';
         os << '}';
     }
     os << "],\"top\":[";
@@ -556,7 +533,7 @@ CpuProfile::renderJson(std::size_t top_n) const
                 samples > 0 ? 100.0 * static_cast<double>(kv.second) /
                                       static_cast<double>(samples)
                             : 0.0;
-        os << "{\"symbol\":\"" << jsonEscape(kv.first)
+        os << "{\"symbol\":\"" << json::escape(kv.first)
            << "\",\"self_samples\":" << kv.second
            << ",\"self_pct\":" << formatPct(pct) << '}';
     }

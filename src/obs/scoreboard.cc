@@ -5,6 +5,7 @@
 #include <map>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/numio.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -15,47 +16,16 @@ namespace gpupm
 namespace obs
 {
 
-namespace
-{
-
 std::string
-jsonEscape(const std::string &s)
+scoreStatsFields(const ScoreStats &st)
 {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
+    return "\"samples\":" + std::to_string(st.samples) +
+           ",\"mae_pct\":" + numio::formatDouble(st.mae_pct) +
+           ",\"rmse_w\":" + numio::formatDouble(st.rmse_w) +
+           ",\"max_err_pct\":" + numio::formatDouble(st.max_err_pct) +
+           ",\"mean_measured_w\":" +
+           numio::formatDouble(st.mean_measured_w);
 }
-
-/** The stats fields shared by summary / per_app / per_config rows. */
-void
-putStats(std::ostringstream &os, const ScoreStats &st)
-{
-    os << "\"samples\":" << st.samples << ",\"mae_pct\":"
-       << numio::formatDouble(st.mae_pct) << ",\"rmse_w\":"
-       << numio::formatDouble(st.rmse_w) << ",\"max_err_pct\":"
-       << numio::formatDouble(st.max_err_pct)
-       << ",\"mean_measured_w\":"
-       << numio::formatDouble(st.mean_measured_w);
-}
-
-} // namespace
 
 ScoreStats
 scoreOf(const std::vector<const ResidualSample *> &group)
@@ -187,18 +157,18 @@ Scoreboard::toJson(bool include_samples) const
     os << "{\"gpupm_scoreboard_version\":1";
     os << ",\n\"provenance\":" << common::toJson(provenance);
     os << ",\n\"device\":" << device << ",\"device_name\":\""
-       << jsonEscape(device_name) << "\"";
+       << json::escape(device_name) << "\"";
     os << ",\"reference\":[" << reference.core_mhz << ","
        << reference.mem_mhz << "]";
     os << ",\n\"summary\":{";
-    putStats(os, overall);
+    os << scoreStatsFields(overall);
     os << "}";
     os << ",\n\"per_app\":[";
     for (std::size_t i = 0; i < per_app.size(); ++i) {
         if (i)
             os << ",";
-        os << "\n{\"app\":\"" << jsonEscape(per_app[i].app) << "\",";
-        putStats(os, per_app[i].stats);
+        os << "\n{\"app\":\"" << json::escape(per_app[i].app) << "\",";
+        os << scoreStatsFields(per_app[i].stats);
         os << "}";
     }
     os << "]";
@@ -208,7 +178,7 @@ Scoreboard::toJson(bool include_samples) const
             os << ",";
         os << "\n{\"core_mhz\":" << per_config[i].cfg.core_mhz
            << ",\"mem_mhz\":" << per_config[i].cfg.mem_mhz << ",";
-        putStats(os, per_config[i].stats);
+        os << scoreStatsFields(per_config[i].stats);
         os << "}";
     }
     os << "]";
@@ -219,7 +189,7 @@ Scoreboard::toJson(bool include_samples) const
             if (i)
                 os << ",";
             os << "\n{\"mhz\":" << rows[i].mhz << ",";
-            putStats(os, rows[i].stats);
+            os << scoreStatsFields(rows[i].stats);
             os << "}";
         }
         os << "]";
@@ -230,7 +200,7 @@ Scoreboard::toJson(bool include_samples) const
     for (std::size_t i = 0; i < baselines.size(); ++i) {
         if (i)
             os << ",";
-        os << "{\"name\":\"" << jsonEscape(baselines[i].name)
+        os << "{\"name\":\"" << json::escape(baselines[i].name)
            << "\",\"mae_pct\":"
            << numio::formatDouble(baselines[i].mae_pct) << "}";
     }
@@ -241,7 +211,7 @@ Scoreboard::toJson(bool include_samples) const
             const ResidualSample &s = samples[i];
             if (i)
                 os << ",";
-            os << "\n{\"app\":\"" << jsonEscape(s.app)
+            os << "\n{\"app\":\"" << json::escape(s.app)
                << "\",\"core_mhz\":" << s.cfg.core_mhz
                << ",\"mem_mhz\":" << s.cfg.mem_mhz
                << ",\"measured_w\":"
@@ -263,7 +233,7 @@ Scoreboard::toJson(bool include_samples) const
                     if (k)
                         os << ",";
                     os << "{\"name\":\""
-                       << jsonEscape(s.baseline_w[k].first)
+                       << json::escape(s.baseline_w[k].first)
                        << "\",\"w\":"
                        << numio::formatDouble(s.baseline_w[k].second)
                        << "}";

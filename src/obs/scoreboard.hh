@@ -40,6 +40,10 @@ struct ScoreStats
 /** Compute ScoreStats over a span of samples. */
 ScoreStats scoreOf(const std::vector<const ResidualSample *> &group);
 
+/** A ScoreStats as JSON object members, without the braces
+ *  (`"samples":..,"mae_pct":..,...`); the fleet report reuses it. */
+std::string scoreStatsFields(const ScoreStats &st);
+
 /**
  * Combine already-aggregated groups into one ScoreStats without the
  * underlying samples: MAE and mean measured power are sample-weighted

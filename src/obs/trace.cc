@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/numio.hh"
 #include "common/provenance.hh"
 #include "obs/profiler.hh"
@@ -16,32 +17,6 @@ namespace obs
 
 namespace
 {
-
-/** JSON string escaping for names, categories and args. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /** splitmix64 output mix — same finalizer the fleet seeder uses. */
 std::uint64_t
@@ -261,8 +236,8 @@ Tracer::renderChromeTrace() const
         const TraceEvent &e = events[i];
         if (i)
             os << ",";
-        os << "\n{\"name\":\"" << jsonEscape(e.name)
-           << "\",\"cat\":\"" << jsonEscape(e.cat)
+        os << "\n{\"name\":\"" << json::escape(e.name)
+           << "\",\"cat\":\"" << json::escape(e.cat)
            << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << e.tid
            << ",\"ts\":" << numio::formatLong(e.ts_us)
            << ",\"dur\":" << numio::formatLong(e.dur_us);
@@ -278,16 +253,8 @@ Tracer::renderChromeTrace() const
         }
         if (e.error)
             os << ",\"error\":true";
-        if (!e.args.empty()) {
-            os << ",\"args\":{";
-            for (std::size_t k = 0; k < e.args.size(); ++k) {
-                if (k)
-                    os << ",";
-                os << "\"" << jsonEscape(e.args[k].first)
-                   << "\":\"" << jsonEscape(e.args[k].second) << "\"";
-            }
-            os << "}";
-        }
+        if (!e.args.empty())
+            os << ",\"args\":" << json::stringObject(e.args);
         os << "}";
     }
     os << "\n],\"displayTimeUnit\":\"ms\",\"provenance\":"

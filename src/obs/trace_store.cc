@@ -1,9 +1,9 @@
 #include "trace_store.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/numio.hh"
 #include "obs/standard.hh"
 #include "obs/trace.hh"
@@ -12,36 +12,6 @@ namespace gpupm
 {
 namespace obs
 {
-
-namespace
-{
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 TraceStore::TraceStore(TraceStoreOptions opts) : opts_(opts) {}
 
@@ -197,8 +167,8 @@ TraceStore::renderJson(const TraceQuery &q) const
         if (i)
             os << ",";
         os << "\n{\"trace_id\":\"" << traceIdHex(t.trace_id)
-           << "\",\"root\":\"" << jsonEscape(t.root_name)
-           << "\",\"cat\":\"" << jsonEscape(t.root_cat)
+           << "\",\"root\":\"" << json::escape(t.root_name)
+           << "\",\"cat\":\"" << json::escape(t.root_cat)
            << "\",\"start_us\":" << numio::formatLong(t.start_us)
            << ",\"dur_us\":" << numio::formatLong(t.dur_us)
            << ",\"error\":" << (t.error ? "true" : "false")
@@ -207,8 +177,8 @@ TraceStore::renderJson(const TraceQuery &q) const
             const StoredSpan &s = t.spans[k];
             if (k)
                 os << ",";
-            os << "{\"name\":\"" << jsonEscape(s.name)
-               << "\",\"cat\":\"" << jsonEscape(s.cat)
+            os << "{\"name\":\"" << json::escape(s.name)
+               << "\",\"cat\":\"" << json::escape(s.cat)
                << "\",\"span_id\":\"" << traceIdHex(s.span_id)
                << "\"";
             if (s.parent_span_id)
@@ -218,17 +188,8 @@ TraceStore::renderJson(const TraceQuery &q) const
                << ",\"dur_us\":" << numio::formatLong(s.dur_us)
                << ",\"tid\":" << s.tid
                << ",\"error\":" << (s.error ? "true" : "false");
-            if (!s.args.empty()) {
-                os << ",\"args\":{";
-                for (std::size_t a = 0; a < s.args.size(); ++a) {
-                    if (a)
-                        os << ",";
-                    os << "\"" << jsonEscape(s.args[a].first)
-                       << "\":\"" << jsonEscape(s.args[a].second)
-                       << "\"";
-                }
-                os << "}";
-            }
+            if (!s.args.empty())
+                os << ",\"args\":" << json::stringObject(s.args);
             os << "}";
         }
         os << "]}";

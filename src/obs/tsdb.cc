@@ -7,6 +7,7 @@
 #include <limits>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/numio.hh"
 #include "obs/standard.hh"
 
@@ -14,36 +15,6 @@ namespace gpupm
 {
 namespace obs
 {
-
-namespace
-{
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 void
 TsBucket::add(double v)
@@ -80,10 +51,10 @@ std::string
 TsQueryResult::toJson(const std::string &series) const
 {
     std::ostringstream os;
-    os << "{\"series\":\"" << jsonEscape(series) << "\",\"ok\":"
+    os << "{\"series\":\"" << json::escape(series) << "\",\"ok\":"
        << (ok ? "true" : "false");
     if (!ok) {
-        os << ",\"error\":\"" << jsonEscape(error) << "\"}";
+        os << ",\"error\":\"" << json::escape(error) << "\"}";
         return os.str();
     }
     os << ",\"tier\":" << tier << ",\"start_us\":" << start_us

@@ -133,3 +133,17 @@ list(LENGTH kernels nk)
 if(NOT nk EQUAL 82)
     message(FATAL_ERROR "expected 82 kernels, got ${nk}")
 endif()
+
+# A model whose version token holds a 0x01 byte: the --json report
+# quotes it back, and must escape it as \u0001 so the output stays
+# valid JSON.
+string(ASCII 1 ctl)
+file(WRITE ${WORK}/ctl.model "gpupm-model\n1${ctl} 2\n")
+execute_process(COMMAND ${CLI} validate --json ${WORK}/ctl.model
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out)
+string(FIND "${out}" "\\u0001" escaped)
+string(FIND "${out}" "${ctl}" raw)
+if(escaped EQUAL -1 OR NOT raw EQUAL -1)
+    message(FATAL_ERROR "validate --json did not escape a control "
+                        "byte (rc ${rc}): ${out}")
+endif()

@@ -39,24 +39,25 @@
  * gate whose golden vanished must fail loudly, never skip.
  */
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "core/model_io.hh"
-#include "json_lite.hh"
 #include "obs/scoreboard.hh"
 
 namespace
 {
 
 using namespace gpupm;
-using jsonlite::JsonParser;
-using jsonlite::JsonValue;
-using jsonlite::readFile;
+using JsonValue = json::Value;
+using json::readFile;
+constexpr auto kNumber = JsonValue::Kind::Number;
+constexpr auto kString = JsonValue::Kind::String;
+constexpr auto kObject = JsonValue::Kind::Object;
 
 /** Parsed `cpu` attribution block of a bench telemetry file. */
 struct CpuBlock
@@ -121,56 +122,50 @@ loadBenchRun(const std::string &path, BenchRun &run)
         return false;
     }
     JsonValue root;
-    std::string err;
-    if (!JsonParser(text).parse(root, err)) {
+    json::Error err;
+    if (!json::parse(text, root, err)) {
         std::fprintf(stderr, "%s: invalid JSON: %s\n", path.c_str(),
-                     err.c_str());
+                     err.message().c_str());
         return false;
     }
     auto bad = [&](const std::string &what) {
         std::fprintf(stderr, "%s: %s\n", path.c_str(), what.c_str());
         return false;
     };
-    if (root.kind != JsonValue::Kind::Object)
+    if (root.kind != kObject)
         return bad("top level is not an object");
-    const JsonValue *ver = root.find("gpupm_bench_version");
-    if (!ver || ver->kind != JsonValue::Kind::Number ||
-        ver->number != 1.0)
+    const JsonValue *ver = root.find("gpupm_bench_version", kNumber);
+    if (!ver || ver->number != 1.0)
         return bad("missing or unsupported gpupm_bench_version");
-    const JsonValue *name = root.find("name");
-    if (!name || name->kind != JsonValue::Kind::String ||
-        name->str.empty())
+    const JsonValue *name = root.find("name", kString);
+    if (!name || name->str.empty())
         return bad("missing name");
     run.name = name->str;
-    const JsonValue *prov = root.find("provenance");
-    if (!prov || prov->kind != JsonValue::Kind::Object)
+    const JsonValue *prov = root.find("provenance", kObject);
+    if (!prov)
         return bad("missing provenance object");
     for (const char *key :
          {"version", "build_type", "device", "timestamp"}) {
-        const JsonValue *f = prov->find(key);
-        if (!f || f->kind != JsonValue::Kind::String)
+        if (!prov->find(key, kString))
             return bad(std::string("provenance missing '") + key +
                        "'");
     }
-    const JsonValue *wall = root.find("wall_ms");
-    if (!wall || wall->kind != JsonValue::Kind::Number ||
-        !std::isfinite(wall->number) || wall->number < 0)
+    const JsonValue *wall = root.find("wall_ms", kNumber);
+    if (!wall || wall->number < 0)
         return bad("missing or implausible wall_ms");
     run.wall_ms = wall->number;
-    const JsonValue *phases = root.find("phases_ms");
-    if (!phases || phases->kind != JsonValue::Kind::Object)
+    const JsonValue *phases = root.find("phases_ms", kObject);
+    if (!phases)
         return bad("missing phases_ms object");
     for (const auto &kv : phases->object)
-        if (kv.second.kind != JsonValue::Kind::Number ||
-            !std::isfinite(kv.second.number) || kv.second.number < 0)
+        if (kv.second.kind != kNumber || kv.second.number < 0)
             return bad("implausible phase duration '" + kv.first +
                        "'");
-    const JsonValue *stats = root.find("stats");
-    if (!stats || stats->kind != JsonValue::Kind::Object)
+    const JsonValue *stats = root.find("stats", kObject);
+    if (!stats)
         return bad("missing stats object");
     for (const auto &kv : stats->object) {
-        if (kv.second.kind != JsonValue::Kind::Number ||
-            !std::isfinite(kv.second.number))
+        if (kv.second.kind != kNumber)
             return bad("non-finite stat '" + kv.first + "'");
         run.stats.emplace_back(kv.first, kv.second.number);
     }
@@ -179,12 +174,11 @@ loadBenchRun(const std::string &path, BenchRun &run)
     // `profile` gates never compare garbage.
     const JsonValue *cpu = root.find("cpu");
     if (cpu) {
-        if (cpu->kind != JsonValue::Kind::Object)
+        if (cpu->kind != kObject)
             return bad("cpu block is not an object");
         auto num = [&](const char *key, double &out) {
-            const JsonValue *f = cpu->find(key);
-            if (!f || f->kind != JsonValue::Kind::Number ||
-                !std::isfinite(f->number) || f->number < 0)
+            const JsonValue *f = cpu->find(key, kNumber);
+            if (!f || f->number < 0)
                 return false;
             out = f->number;
             return true;
@@ -194,16 +188,15 @@ loadBenchRun(const std::string &path, BenchRun &run)
             !num("attributed_pct", run.cpu.attributed_pct))
             return bad("cpu block missing samples/dropped/"
                        "attributed_pct");
-        const JsonValue *cats = cpu->find("categories");
-        if (!cats || cats->kind != JsonValue::Kind::Object)
+        const JsonValue *cats = cpu->find("categories", kObject);
+        if (!cats)
             return bad("cpu block missing categories object");
         for (const auto &kv : cats->object) {
-            if (kv.second.kind != JsonValue::Kind::Object)
+            if (kv.second.kind != kObject)
                 return bad("cpu category '" + kv.first +
                            "' is not an object");
-            const JsonValue *share = kv.second.find("share_pct");
-            if (!share || share->kind != JsonValue::Kind::Number ||
-                !std::isfinite(share->number) || share->number < 0)
+            const JsonValue *share = kv.second.find("share_pct", kNumber);
+            if (!share || share->number < 0)
                 return bad("cpu category '" + kv.first +
                            "' missing share_pct");
             run.cpu.shares.emplace_back(kv.first, share->number);

@@ -82,6 +82,7 @@
 #include <vector>
 
 #include "baselines/baselines.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/numio.hh"
 #include "common/provenance.hh"
@@ -93,7 +94,6 @@
 #include "core/predictor.hh"
 #include "core/validate.hh"
 #include "fleet/supervisor.hh"
-#include "json_lite.hh"
 #include "obs/alerts.hh"
 #include "obs/convergence.hh"
 #include "obs/flight_recorder.hh"
@@ -590,23 +590,6 @@ reportLoadFailure(const model::IoStatus &status)
 
 // -- validate --------------------------------------------------------
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
-
 /** Outcome of checking one file: either a load failure or a report. */
 struct FileCheck
 {
@@ -620,63 +603,42 @@ FileCheck
 checkFile(const std::string &path, const model::LoadOptions &opts)
 {
     FileCheck fc;
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        fc.load_error = {model::IoErrc::IoError,
-                         "cannot open '" + path + "' for reading"};
+    const auto read = model::tryReadFileText(path);
+    if (!read.ok()) {
+        fc.load_error = read.error();
         return fc;
     }
-    std::ostringstream os;
-    os << in.rdbuf();
-    const std::string text = os.str();
-
+    const std::string &text = read.value();
     const auto kind = model::detectFileKind(text);
     if (!kind.ok()) {
         fc.load_error = kind.error();
         return fc;
     }
     fc.kind = std::string(model::fileKindName(kind.value()));
+    const auto check = [&fc](const auto &res, auto validate) {
+        if (!res.ok()) {
+            fc.load_error = res.error();
+            return;
+        }
+        fc.loaded = true;
+        fc.report = validate(res.value());
+    };
     switch (kind.value()) {
-      case model::FileKind::Model: {
-        auto res = model::tryParseModel(text, opts);
-        if (!res.ok()) {
-            fc.load_error = res.error();
-            return fc;
-        }
-        fc.loaded = true;
-        fc.report = model::validateModel(res.value());
+      case model::FileKind::Model:
+        check(model::tryParseModel(text, opts), model::validateModel);
         break;
-      }
-      case model::FileKind::Campaign: {
-        auto res = model::tryParseTrainingData(text, opts);
-        if (!res.ok()) {
-            fc.load_error = res.error();
-            return fc;
-        }
-        fc.loaded = true;
-        fc.report = model::validateTrainingData(res.value());
+      case model::FileKind::Campaign:
+        check(model::tryParseTrainingData(text, opts),
+              model::validateTrainingData);
         break;
-      }
-      case model::FileKind::Checkpoint: {
-        auto res = model::tryParseCampaignCheckpoint(text, opts);
-        if (!res.ok()) {
-            fc.load_error = res.error();
-            return fc;
-        }
-        fc.loaded = true;
-        fc.report = model::validateCheckpoint(res.value());
+      case model::FileKind::Checkpoint:
+        check(model::tryParseCampaignCheckpoint(text, opts),
+              model::validateCheckpoint);
         break;
-      }
-      case model::FileKind::Scoreboard: {
-        auto res = model::tryParseScoreboard(text, opts);
-        if (!res.ok()) {
-            fc.load_error = res.error();
-            return fc;
-        }
-        fc.loaded = true;
-        fc.report = model::validateScoreboard(res.value());
+      case model::FileKind::Scoreboard:
+        check(model::tryParseScoreboard(text, opts),
+              model::validateScoreboard);
         break;
-      }
       case model::FileKind::FleetShard:
       case model::FileKind::Fleet: {
         // Fleet artifacts are envelope-checked here (magic, kind,
@@ -684,11 +646,9 @@ checkFile(const std::string &path, const model::LoadOptions &opts)
         // its fleet configuration, which the supervisor does on
         // resume via the embedded fingerprint.
         auto payload = model::tryUnwrapEnvelope(text, kind.value());
-        if (!payload.ok()) {
+        if (!payload.ok())
             fc.load_error = payload.error();
-            return fc;
-        }
-        fc.loaded = true;
+        fc.loaded = payload.ok();
         break;
       }
     }
@@ -713,8 +673,7 @@ cmdValidate(const std::vector<std::string> &paths,
         if (!fc.loaded || !fc.report.ok())
             rc = 1;
         if (flags.json) {
-            std::string line = "{\"file\":\"" +
-                               jsonEscape(paths[i]) + "\"";
+            std::string line = "{\"file\":" + json::quote(paths[i]);
             if (!fc.kind.empty())
                 line += ",\"kind\":\"" + fc.kind + "\"";
             if (fc.loaded) {
@@ -724,11 +683,10 @@ cmdValidate(const std::vector<std::string> &paths,
                     rep.pop_back();
                 line += ",\"loaded\":true,\"report\":" + rep;
             } else {
-                line += ",\"loaded\":false,\"error\":{\"code\":\"";
-                line += std::string(
-                        model::ioErrcName(fc.load_error.code));
-                line += "\",\"message\":\"" +
-                        jsonEscape(fc.load_error.message) + "\"}";
+                line += ",\"loaded\":false,\"error\":{\"code\":\"" +
+                        std::string(model::ioErrcName(fc.load_error.code)) +
+                        "\",\"message\":" +
+                        json::quote(fc.load_error.message) + "}";
             }
             line += "}";
             std::printf("%s%s", i ? "," : "", line.c_str());
@@ -1155,13 +1113,13 @@ driftEnvelopeFromGolden(const std::string &path,
                         const std::string &device)
 {
     std::string text;
-    if (!jsonlite::readFile(path, text))
+    if (!json::readFile(path, text))
         return std::nullopt;
-    jsonlite::JsonValue root;
-    std::string err;
-    if (!jsonlite::JsonParser(text).parse(root, err)) {
+    json::Value root;
+    json::Error err;
+    if (!json::parse(text, root, err)) {
         std::fprintf(stderr, "drift golden '%s': %s\n", path.c_str(),
-                     err.c_str());
+                     err.message().c_str());
         return std::nullopt;
     }
     const auto *stats = root.find("stats");
@@ -1170,9 +1128,9 @@ driftEnvelopeFromGolden(const std::string &path,
                      path.c_str());
         return std::nullopt;
     }
-    const auto *mae = stats->find("mae_pct_" + device);
-    if (!mae ||
-        mae->kind != jsonlite::JsonValue::Kind::Number) {
+    const auto *mae =
+            stats->find("mae_pct_" + device, json::Value::Kind::Number);
+    if (!mae) {
         std::fprintf(stderr,
                      "drift golden '%s': no mae_pct_%s stat\n",
                      path.c_str(), device.c_str());
@@ -1692,8 +1650,7 @@ cmdMonitor(const std::string &device, const CliFlags &flags)
            << jsonFiniteOr(sampler.lastSampleAgeSeconds(), "-1")
            << ",\"firing\":[";
         for (std::size_t i = 0; i < firing.size(); ++i)
-            os << (i ? "," : "") << "\"" << jsonEscape(firing[i])
-               << "\"";
+            os << (i ? "," : "") << json::quote(firing[i]);
         os << "],\"provenance\":"
            << common::toJson(common::collectProvenance()) << "}\n";
         const bool unhealthy =
@@ -1917,31 +1874,22 @@ cmdTraces(const std::string &device, const CliFlags &flags)
             const auto &t = traces[i];
             os << (i ? ",\n" : "\n") << "{\"trace_id\":\""
                << obs::traceIdHex(t.trace_id) << "\",\"root\":\""
-               << jsonEscape(t.root_name) << "\",\"cat\":\""
-               << jsonEscape(t.root_cat) << "\",\"error\":"
+               << json::escape(t.root_name) << "\",\"cat\":\""
+               << json::escape(t.root_cat) << "\",\"error\":"
                << (t.error ? "true" : "false") << ",\"spans\":[";
             for (std::size_t k = 0; k < t.spans.size(); ++k) {
                 const auto &s = t.spans[k];
                 os << (k ? "," : "") << "{\"name\":\""
-                   << jsonEscape(s.name) << "\",\"cat\":\""
-                   << jsonEscape(s.cat) << "\",\"span_id\":\""
+                   << json::escape(s.name) << "\",\"cat\":\""
+                   << json::escape(s.cat) << "\",\"span_id\":\""
                    << obs::traceIdHex(s.span_id) << "\"";
                 if (s.parent_span_id)
                     os << ",\"parent_span_id\":\""
                        << obs::traceIdHex(s.parent_span_id) << "\"";
                 if (s.error)
                     os << ",\"error\":true";
-                if (!s.args.empty()) {
-                    os << ",\"args\":{";
-                    for (std::size_t a = 0; a < s.args.size(); ++a) {
-                        if (a)
-                            os << ",";
-                        os << "\"" << jsonEscape(s.args[a].first)
-                           << "\":\""
-                           << jsonEscape(s.args[a].second) << "\"";
-                    }
-                    os << "}";
-                }
+                if (!s.args.empty())
+                    os << ",\"args\":" << json::stringObject(s.args);
                 os << "}";
             }
             os << "]}";

@@ -10,6 +10,10 @@
  * file formats — both the v2 envelope and the legacy payload form —
  * and feeds every mutant to the matching try* parser and to
  * detectFileKind. Any exception escaping the typed API fails the run.
+ * The shared JSON reader gets the same treatment on its own, with
+ * mutants of the fig7 bench golden (bench/golden/, located through
+ * GPUPM_GOLDEN_DIR) and of a Chrome trace, plus nesting bombs: each
+ * must parse or come back as a typed json::Error.
  *
  * Runs as a plain test and, via scripts/reproduce_all.sh, under the
  * ASan+UBSan build. Fully deterministic: fixed seed, no time or
@@ -21,10 +25,16 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/random.hh"
 #include "core/model_io.hh"
 #include "core/validate.hh"
 #include "obs/scoreboard.hh"
+#include "obs/trace.hh"
+
+#ifndef GPUPM_GOLDEN_DIR
+#error "GPUPM_GOLDEN_DIR must be defined by the build"
+#endif
 
 namespace
 {
@@ -234,6 +244,101 @@ fuzzFormat(const char *name, const std::string &golden,
     return 0;
 }
 
+/** A small Chrome trace through the real exporter: a root span with
+ *  a child, an error span and args that need escaping. */
+std::string
+chromeTrace()
+{
+    obs::Tracer &tracer = obs::Tracer::global();
+    tracer.clear();
+    tracer.enable();
+    const auto span = [](const char *name, const char *cat,
+                         std::uint64_t trace, std::uint64_t id,
+                         std::uint64_t parent) {
+        obs::TraceEvent ev;
+        ev.name = name;
+        ev.cat = cat;
+        ev.ts_us = static_cast<std::int64_t>(id % 1000);
+        ev.dur_us = 12;
+        ev.trace_id = trace;
+        ev.span_id = id;
+        ev.parent_span_id = parent;
+        return ev;
+    };
+    obs::TraceEvent root = span("monitor.tick", "monitor", 0x12, 0x12, 0);
+    obs::TraceEvent child = span("predict", "model", 0x12, 0x56, 0x12);
+    child.args = {{"app", "BLCKSC"}, {"note", "quote \" tab\t \x01"}};
+    obs::TraceEvent fault =
+            span("fleet.watchdog_fire", "fleet", 0x9a, 0x9a, 0);
+    fault.error = true;
+    tracer.record(child);
+    tracer.record(root);
+    tracer.record(fault);
+    std::string text = tracer.renderChromeTrace();
+    tracer.disable();
+    tracer.clear();
+    return text;
+}
+
+/**
+ * Feed mutants of one JSON document to the shared reader. Returns 0
+ * when every mutant parsed or came back as a typed error pointing
+ * inside the mutant; 1 otherwise.
+ */
+int
+fuzzJson(const char *name, const std::string &golden)
+{
+    json::Value doc;
+    json::Error err;
+    if (!json::parse(golden, doc, err)) {
+        std::fprintf(stderr, "%s: golden does not parse: %s\n", name,
+                     err.message().c_str());
+        return 1;
+    }
+    Rng rng(kSeed);
+    int accepted = 0;
+    for (int i = 0; i < kMutantsPerFormat; ++i) {
+        const std::string mutant = mutate(golden, rng);
+        if (json::parse(mutant, doc, err)) {
+            ++accepted;
+        } else if (err.offset > mutant.size() ||
+                   json::errcName(err.code) == "unknown") {
+            std::fprintf(stderr, "%s: mutant %d: untyped error %s\n",
+                         name, i, err.message().c_str());
+            return 1;
+        }
+    }
+    std::printf("%s: %d mutants, %d parsed clean\n", name,
+                kMutantsPerFormat, accepted);
+    return 0;
+}
+
+/** Nesting far past the cap must stop at it with a typed error. */
+int
+fuzzNestingBombs()
+{
+    std::string objects, mixed;
+    for (int i = 0; i < 100000; ++i) {
+        objects += "{\"k\":";
+        mixed += i % 2 ? "[" : "{\"k\":";
+    }
+    for (const std::string &bomb :
+         {std::string(200000, '['), objects, mixed}) {
+        json::Value doc;
+        json::Error err;
+        if (json::parse(bomb, doc, err) ||
+            err.code != json::Errc::Nesting) {
+            std::fprintf(stderr, "json.nesting: bomb not rejected as "
+                                 "nesting: %s\n",
+                         err.message().c_str());
+            return 1;
+        }
+    }
+    std::printf("json.nesting: 3 bombs, all rejected at depth %d\n",
+                json::kMaxDepth);
+    return 0;
+}
+
 } // namespace
 
 int
@@ -286,5 +391,14 @@ main()
                      parse_scoreboard, model::validateScoreboard);
     rc |= fuzzFormat("scoreboard.legacy", legacy_scoreboard,
                      parse_scoreboard, model::validateScoreboard);
+
+    std::string bench_golden;
+    if (!json::readFile(std::string(GPUPM_GOLDEN_DIR) +
+                                "/BENCH_fig7_validation.json",
+                        bench_golden))
+        return 1;
+    rc |= fuzzJson("json.bench_golden", bench_golden);
+    rc |= fuzzJson("json.chrome_trace", chromeTrace());
+    rc |= fuzzNestingBombs();
     return rc;
 }

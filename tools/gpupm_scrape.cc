@@ -21,7 +21,7 @@
  *       fork/exec `gpupm monitor <device>` on an ephemeral port,
  *       wait for the port file, scrape /metrics, /healthz,
  *       /scoreboard, /tracez, /profilez, /alertz and /api/query
- *       (asserting the JSON bodies are brace-balanced and the folded
+ *       (asserting the JSON bodies parse in full and the folded
  *       profile parses), fire SIGUSR1 and require the live
  *       diagnostic dump on the daemon's stderr, assert the 400/404/
  *       405 error paths (non-finite query times must answer promptly
@@ -60,6 +60,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "common/json.hh"
 
 namespace
 {
@@ -183,41 +185,23 @@ checkEndpoint(int port, const std::string &method,
 }
 
 /**
- * Structural well-formedness of a JSON body: non-empty, starts with
- * '{' or '[', and every brace/bracket closes (string-aware, so
- * braces inside values do not count). Not a full parser — the point
- * is catching a truncated or interleaved HTTP body, which substring
- * expectations alone would miss.
+ * True when the whole body parses through the shared JSON reader
+ * with an object or array at the top; catches a truncated or
+ * interleaved HTTP body, which substring expectations alone would
+ * miss. Prints the reader's error otherwise.
  */
 bool
-jsonBalanced(const std::string &body)
+jsonDocument(const std::string &body)
 {
-    std::size_t i = 0;
-    while (i < body.size() && (body[i] == ' ' || body[i] == '\n'))
-        ++i;
-    if (i >= body.size() || (body[i] != '{' && body[i] != '['))
+    gpupm::json::Value doc;
+    gpupm::json::Error err;
+    if (!gpupm::json::parse(body, doc, err)) {
+        std::fprintf(stderr, "gpupm_scrape: invalid JSON body: %s\n",
+                     err.message().c_str());
         return false;
-    int depth = 0;
-    bool in_str = false, esc = false;
-    for (; i < body.size(); ++i) {
-        const char c = body[i];
-        if (esc) {
-            esc = false;
-        } else if (in_str) {
-            if (c == '\\')
-                esc = true;
-            else if (c == '"')
-                in_str = false;
-        } else if (c == '"') {
-            in_str = true;
-        } else if (c == '{' || c == '[') {
-            ++depth;
-        } else if (c == '}' || c == ']') {
-            if (--depth < 0)
-                return false;
-        }
     }
-    return depth == 0 && !in_str;
+    return doc.kind == gpupm::json::Value::Kind::Object ||
+           doc.kind == gpupm::json::Value::Kind::Array;
 }
 
 /**
@@ -495,15 +479,15 @@ cmdMonitorSelftest(int argc, char **argv)
                        "\"summary\":", "\"per_app\":"},
                       &json_body) != 0)
         return killAndFail("/scoreboard check failed");
-    if (!jsonBalanced(json_body))
-        return killAndFail("/scoreboard body is not balanced JSON");
+    if (!jsonDocument(json_body))
+        return killAndFail("/scoreboard body is not valid JSON");
     if (checkEndpoint(port, "GET", "/tracez", 200,
                       {"\"records\":", "monitor.sample",
                        "monitor.start"},
                       &json_body) != 0)
         return killAndFail("/tracez check failed");
-    if (!jsonBalanced(json_body))
-        return killAndFail("/tracez body is not balanced JSON");
+    if (!jsonDocument(json_body))
+        return killAndFail("/tracez body is not valid JSON");
 
     // The alert engine ships with the built-in drift rule; the
     // embedded store must answer range queries over the live series.
@@ -512,8 +496,8 @@ cmdMonitorSelftest(int argc, char **argv)
                        "\"kind\":\"drift\"", "\"history\":["},
                       &json_body) != 0)
         return killAndFail("/alertz check failed");
-    if (!jsonBalanced(json_body))
-        return killAndFail("/alertz body is not balanced JSON");
+    if (!jsonDocument(json_body))
+        return killAndFail("/alertz body is not valid JSON");
     if (checkEndpoint(port, "GET", "/alertz?format=text", 200,
                       {"alerts @", "accuracy_drift_" + device}) != 0)
         return killAndFail("/alertz text check failed");
@@ -524,8 +508,8 @@ cmdMonitorSelftest(int argc, char **argv)
                       {"\"ok\":true", "\"points\":[{", "\"avg\":"},
                       &json_body) != 0)
         return killAndFail("/api/query check failed");
-    if (!jsonBalanced(json_body))
-        return killAndFail("/api/query body is not balanced JSON");
+    if (!jsonDocument(json_body))
+        return killAndFail("/api/query body is not valid JSON");
     if (checkEndpoint(port, "GET", "/api/query", 400,
                       {"usage: /api/query"}) != 0)
         return killAndFail("/api/query missing-series check failed");
@@ -567,8 +551,8 @@ cmdMonitorSelftest(int argc, char **argv)
                        "\"memory_bound_bytes\":"},
                       &json_body) != 0)
         return killAndFail("/api/traces check failed");
-    if (!jsonBalanced(json_body))
-        return killAndFail("/api/traces body is not balanced JSON");
+    if (!jsonDocument(json_body))
+        return killAndFail("/api/traces body is not valid JSON");
     if (checkEndpoint(port, "GET",
                       "/api/traces?category=monitor&min_ms=0&limit=2",
                       200, {"monitor.tick"}) != 0)
@@ -596,8 +580,8 @@ cmdMonitorSelftest(int argc, char **argv)
                        "\"categories\":"},
                       &json_body) != 0)
         return killAndFail("/profilez json check failed");
-    if (!jsonBalanced(json_body))
-        return killAndFail("/profilez json body is not balanced");
+    if (!jsonDocument(json_body))
+        return killAndFail("/profilez json body is not valid JSON");
 
     // SIGUSR1 must produce a live diagnostic dump on the daemon's
     // stderr without disturbing the process.
@@ -805,8 +789,8 @@ cmdDriftDemo(int argc, char **argv)
                       200, {"\"ok\":true", "\"points\":[{"},
                       &query_body) != 0)
         return killAndFail("/api/query while firing failed");
-    if (!jsonBalanced(query_body))
-        return killAndFail("/api/query body is not balanced JSON");
+    if (!jsonDocument(query_body))
+        return killAndFail("/api/query body is not valid JSON");
 
     if (!waitAlertz("\"state\":\"resolved\"", "drift rule resolved"))
         return killAndFail("drift rule never resolved");

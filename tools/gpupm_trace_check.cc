@@ -46,17 +46,19 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/numio.hh"
 #include "common/table.hh"
-#include "json_lite.hh"
 
 namespace
 {
 
 using namespace gpupm;
-using jsonlite::JsonParser;
-using jsonlite::JsonValue;
-using jsonlite::readFile;
+using JsonValue = json::Value;
+using json::readFile;
+constexpr auto kNumber = JsonValue::Kind::Number;
+constexpr auto kString = JsonValue::Kind::String;
+constexpr auto kArray = JsonValue::Kind::Array;
 
 // -- trace -----------------------------------------------------------
 
@@ -98,19 +100,14 @@ loadTrace(const std::string &path, std::vector<Span> &spans)
     if (!readFile(path, text))
         return false;
     JsonValue root;
-    std::string err;
-    if (!JsonParser(text).parse(root, err)) {
+    json::Error err;
+    if (!json::parse(text, root, err)) {
         std::fprintf(stderr, "%s: invalid JSON: %s\n", path.c_str(),
-                     err.c_str());
+                     err.message().c_str());
         return false;
     }
-    if (root.kind != JsonValue::Kind::Object) {
-        std::fprintf(stderr, "%s: top level is not an object\n",
-                     path.c_str());
-        return false;
-    }
-    const JsonValue *events = root.find("traceEvents");
-    if (!events || events->kind != JsonValue::Kind::Array) {
+    const JsonValue *events = root.find("traceEvents", kArray);
+    if (!events) {
         std::fprintf(stderr, "%s: missing traceEvents array\n",
                      path.c_str());
         return false;
@@ -124,46 +121,41 @@ loadTrace(const std::string &path, std::vector<Span> &spans)
         };
         if (ev.kind != JsonValue::Kind::Object)
             return bad("not an object");
-        const JsonValue *name = ev.find("name");
-        const JsonValue *cat = ev.find("cat");
+        const JsonValue *name = ev.find("name", kString);
+        const JsonValue *cat = ev.find("cat", kString);
         const JsonValue *ph = ev.find("ph");
-        const JsonValue *ts = ev.find("ts");
-        const JsonValue *dur = ev.find("dur");
-        if (!name || name->kind != JsonValue::Kind::String ||
-            name->str.empty())
+        const JsonValue *ts = ev.find("ts", kNumber);
+        const JsonValue *dur = ev.find("dur", kNumber);
+        if (!name || name->str.empty())
             return bad("missing name");
-        if (!cat || cat->kind != JsonValue::Kind::String ||
-            cat->str.empty())
+        if (!cat || cat->str.empty())
             return bad("missing cat");
         if (!ph || ph->str != "X")
             return bad("phase is not 'X' (complete event)");
-        if (!ts || ts->kind != JsonValue::Kind::Number ||
-            !(ts->number >= 0))
+        if (!ts || ts->number < 0)
             return bad("bad ts");
-        if (!dur || dur->kind != JsonValue::Kind::Number ||
-            !(dur->number >= 0))
+        if (!dur || dur->number < 0)
             return bad("bad dur");
         Span span;
         span.cat = cat->str;
         span.ts = ts->number;
         span.dur = dur->number;
-        // Correlation IDs travel as 16-hex-digit strings; a span
-        // either carries a (trace, span) pair or neither.
-        const JsonValue *tid_v = ev.find("trace_id");
-        const JsonValue *sid_v = ev.find("span_id");
-        const JsonValue *pid_v = ev.find("parent_span_id");
-        if (tid_v || sid_v || pid_v) {
-            if (!tid_v || tid_v->kind != JsonValue::Kind::String ||
-                !(span.trace_id = parseHexId(tid_v->str)))
+        // Correlation IDs travel as 16-hex-digit strings (a malformed
+        // one reads as 0); a span carries a (trace, span) pair or
+        // neither.
+        const auto id = [&](const char *key) {
+            const JsonValue *v = ev.find(key, kString);
+            return v ? parseHexId(v->str) : 0;
+        };
+        if (ev.find("trace_id") || ev.find("span_id") ||
+            ev.find("parent_span_id")) {
+            if (!(span.trace_id = id("trace_id")))
                 return bad("bad trace_id");
-            if (!sid_v || sid_v->kind != JsonValue::Kind::String ||
-                !(span.span_id = parseHexId(sid_v->str)))
+            if (!(span.span_id = id("span_id")))
                 return bad("bad span_id");
-            if (pid_v) {
-                if (pid_v->kind != JsonValue::Kind::String ||
-                    !(span.parent_span_id = parseHexId(pid_v->str)))
-                    return bad("bad parent_span_id");
-            }
+            if (ev.find("parent_span_id") &&
+                !(span.parent_span_id = id("parent_span_id")))
+                return bad("bad parent_span_id");
         }
         spans.push_back(std::move(span));
     }

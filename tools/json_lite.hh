@@ -1,268 +1,44 @@
 /**
  * @file
- * Minimal tree-owning JSON parser shared by the artifact-checking
- * tools (gpupm_trace_check, gpupm_bench_check), so tests and scripts
- * can assert on JSON artifacts without a Python or jq dependency.
- * Tolerates any JSON the repo's emitters produce; rejects trailing
- * garbage. Errors carry the byte offset so a truncated file is
- * diagnosable.
+ * The shared JSON reader (common/json.hh) under the names the
+ * repository benchmark (perfbench/) includes. It exists only for
+ * perfbench/; everything else includes common/json.hh directly.
  */
 
 #ifndef GPUPM_TOOLS_JSON_LITE_HH
 #define GPUPM_TOOLS_JSON_LITE_HH
 
-#include <cctype>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <string_view>
-#include <utility>
-#include <vector>
 
-#include "common/numio.hh"
+#include "common/json.hh"
 
 namespace gpupm
 {
 namespace jsonlite
 {
 
-/** A parsed JSON value (tree-owning, no sharing). */
-struct JsonValue
-{
-    enum class Kind { Null, Bool, Number, String, Array, Object };
+using JsonValue = json::Value;
+using json::readFile;
 
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string str;
-    std::vector<JsonValue> array;
-    std::vector<std::pair<std::string, JsonValue>> object;
-
-    const JsonValue *
-    find(const std::string &key) const
-    {
-        for (const auto &kv : object)
-            if (kv.first == key)
-                return &kv.second;
-        return nullptr;
-    }
-};
-
-/** Recursive-descent parser over the whole document. */
+/** json::parse behind the old class interface. */
 class JsonParser
 {
   public:
     explicit JsonParser(const std::string &text) : text_(text) {}
 
     bool
-    parse(JsonValue &out, std::string &err)
+    parse(JsonValue &out, std::string &err) const
     {
-        pos_ = 0;
-        if (!value(out, err))
-            return false;
-        skipWs();
-        if (pos_ != text_.size()) {
-            err = "trailing garbage at byte " + std::to_string(pos_);
-            return false;
-        }
-        return true;
+        json::Error e;
+        if (json::parse(text_, out, e))
+            return true;
+        err = e.message();
+        return false;
     }
 
   private:
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    bool
-    fail(std::string &err, const std::string &what)
-    {
-        err = what + " at byte " + std::to_string(pos_);
-        return false;
-    }
-
-    bool
-    literal(const char *word, std::string &err)
-    {
-        const std::size_t n = std::strlen(word);
-        if (text_.compare(pos_, n, word) != 0)
-            return fail(err, std::string("expected '") + word + "'");
-        pos_ += n;
-        return true;
-    }
-
-    bool
-    string(std::string &out, std::string &err)
-    {
-        if (pos_ >= text_.size() || text_[pos_] != '"')
-            return fail(err, "expected string");
-        ++pos_;
-        out.clear();
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_++];
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos_ >= text_.size())
-                return fail(err, "unterminated escape");
-            char e = text_[pos_++];
-            switch (e) {
-              case '"': out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/': out += '/'; break;
-              case 'b': out += '\b'; break;
-              case 'f': out += '\f'; break;
-              case 'n': out += '\n'; break;
-              case 'r': out += '\r'; break;
-              case 't': out += '\t'; break;
-              case 'u': {
-                if (pos_ + 4 > text_.size())
-                    return fail(err, "truncated \\u escape");
-                // The emitters never write non-ASCII; keep the
-                // codepoint as '?' rather than decoding UTF-16.
-                pos_ += 4;
-                out += '?';
-                break;
-              }
-              default: return fail(err, "bad escape");
-            }
-        }
-        if (pos_ >= text_.size())
-            return fail(err, "unterminated string");
-        ++pos_; // closing quote
-        return true;
-    }
-
-    bool
-    number(double &out, std::string &err)
-    {
-        std::size_t end = pos_;
-        if (end < text_.size() && (text_[end] == '-'))
-            ++end;
-        while (end < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[end])) ||
-                text_[end] == '.' || text_[end] == 'e' ||
-                text_[end] == 'E' || text_[end] == '+' ||
-                text_[end] == '-'))
-            ++end;
-        if (!numio::parseDouble(
-                    std::string_view(text_).substr(pos_, end - pos_),
-                    out))
-            return fail(err, "bad number");
-        pos_ = end;
-        return true;
-    }
-
-    bool
-    value(JsonValue &out, std::string &err)
-    {
-        skipWs();
-        if (pos_ >= text_.size())
-            return fail(err, "unexpected end of input");
-        switch (text_[pos_]) {
-          case '{': {
-            out.kind = JsonValue::Kind::Object;
-            ++pos_;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            for (;;) {
-                skipWs();
-                std::string key;
-                if (!string(key, err))
-                    return false;
-                skipWs();
-                if (pos_ >= text_.size() || text_[pos_] != ':')
-                    return fail(err, "expected ':'");
-                ++pos_;
-                JsonValue v;
-                if (!value(v, err))
-                    return false;
-                out.object.emplace_back(std::move(key), std::move(v));
-                skipWs();
-                if (pos_ < text_.size() && text_[pos_] == ',') {
-                    ++pos_;
-                    continue;
-                }
-                if (pos_ < text_.size() && text_[pos_] == '}') {
-                    ++pos_;
-                    return true;
-                }
-                return fail(err, "expected ',' or '}'");
-            }
-          }
-          case '[': {
-            out.kind = JsonValue::Kind::Array;
-            ++pos_;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == ']') {
-                ++pos_;
-                return true;
-            }
-            for (;;) {
-                JsonValue v;
-                if (!value(v, err))
-                    return false;
-                out.array.push_back(std::move(v));
-                skipWs();
-                if (pos_ < text_.size() && text_[pos_] == ',') {
-                    ++pos_;
-                    continue;
-                }
-                if (pos_ < text_.size() && text_[pos_] == ']') {
-                    ++pos_;
-                    return true;
-                }
-                return fail(err, "expected ',' or ']'");
-            }
-          }
-          case '"':
-            out.kind = JsonValue::Kind::String;
-            return string(out.str, err);
-          case 't':
-            out.kind = JsonValue::Kind::Bool;
-            out.boolean = true;
-            return literal("true", err);
-          case 'f':
-            out.kind = JsonValue::Kind::Bool;
-            out.boolean = false;
-            return literal("false", err);
-          case 'n':
-            out.kind = JsonValue::Kind::Null;
-            return literal("null", err);
-          default:
-            out.kind = JsonValue::Kind::Number;
-            return number(out.number, err);
-        }
-    }
-
     const std::string &text_;
-    std::size_t pos_ = 0;
 };
-
-/** Slurp a file; diagnoses open failures on stderr. */
-inline bool
-readFile(const std::string &path, std::string &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
-        return false;
-    }
-    std::ostringstream os;
-    os << in.rdbuf();
-    out = os.str();
-    return true;
-}
 
 } // namespace jsonlite
 } // namespace gpupm
